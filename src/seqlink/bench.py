@@ -33,9 +33,9 @@ MULTIBLOCK_ARMS = ("offline", "sequential", "chained")
 CSV_HEADER = "mode,distance,estimator,regularizer,n,trials,excluded,mse,stderr"
 
 # far more iteration budget than the interactive default: Monte Carlo
-# aggregates should measure estimator error, not early stopping, and the
-# spectral-fit updates crawl when the coherence is badly conditioned
-# (rho near 1 at fifty-ish dates needs thousands of iterations)
+# aggregates should measure estimator error, not early stopping. The
+# spectral-fit solvers take about a hundred iterations at rho = 0.98 and
+# forty dates; the budget is headroom for badly conditioned coherences
 BENCH_SOLVER = MMConfig(max_iters=10000, tol=1e-14)
 
 

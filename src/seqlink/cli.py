@@ -162,12 +162,15 @@ def cmd_solve(args) -> int:
     else:
         write_phase_raster_csv(out, raster)
     failed = int(raster.failed.sum())
+    nonconverged = int(raster.nonconverged.sum())
     undersampled = int(raster.undersampled.sum())
     total = raster.height * raster.width
-    if failed or undersampled:
+    if failed or nonconverged or undersampled:
         print(f"{failed} of {total} pixels failed; "
+              f"{nonconverged} did not converge; "
               f"{undersampled} undersampled", file=sys.stderr)
-    metrics = {"pixels.failed": failed, "pixels.undersampled": undersampled}
+    metrics = {"pixels.failed": failed, "pixels.nonconverged": nonconverged,
+               "pixels.undersampled": undersampled}
     if args.truth:
         truth_angles = read_truth_csv(args.truth)
         metrics.update(_truth_metrics(raster, truth_angles, args.mode,

@@ -1,6 +1,6 @@
 """Dense Hermitian kernel: Hadamard products, entrywise modulus,
 positive-definite inversion, block partitioning, Schur-complement block
-inverse and dominant eigenvalues.
+inverse and the largest eigenvalue.
 
 Everything here operates on plain numpy arrays and is pure: no function
 mutates its inputs, so values can be shared freely between pixel workers.
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import NonConvergence, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 
 # Relative diagonal jitter used when a factorization needs rescuing.
 DEFAULT_JITTER = 1e-9
@@ -168,68 +168,14 @@ def assemble_block_inverse(factors: SchurFactors) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def _power_iteration(h: np.ndarray, v: np.ndarray, shift: float, tol: float,
-                     max_iters: int):
-    """Dominant Rayleigh quotient of h from start v; returns (value, converged).
-
-    Stops on the eigenpair residual ||hv - λv|| <= tol/2 * |λ - shift|, which
-    for Hermitian h bounds the eigenvalue error of the *unshifted* problem by
-    the same quantity (Weyl), so the requested tolerance is honored.
-    """
-    v = v / np.linalg.norm(v)
-    rayleigh = 0.0
-    for _ in range(max_iters):
-        hv = h @ v
-        # The explicit v'v denominator cancels the rounding left by the
-        # previous normalization; for scaled-identity matrices both dot
-        # products round identically and the quotient is exact, which keeps
-        # downstream MM updates at literal zero on exact fixed points.
-        rayleigh = float(np.real(v.conj() @ hv) / np.real(v.conj() @ v))
-        residual = float(np.linalg.norm(hv - rayleigh * v))
-        target = 0.5 * tol * max(abs(rayleigh - shift), 1e-12 * max(shift, 1e-300))
-        if residual <= target:
-            return rayleigh, True
-        norm = np.linalg.norm(hv)
-        if norm == 0.0:
-            return 0.0, True
-        v = hv / norm
-    return rayleigh, False
-
-
-def largest_eigenvalue(
-    h: np.ndarray, tol: float = 1e-8, max_iters: int = 10_000
-) -> float:
+def largest_eigenvalue(h: np.ndarray) -> float:
     """Largest (algebraic) eigenvalue of a Hermitian matrix.
 
-    Power iteration on h + shift*I with shift = max absolute row sum, so the
-    dominant-modulus eigenvalue is the algebraic maximum even for indefinite
-    input. Runs from the all-ones start and once more from a fixed ramp start
-    (an all-ones vector can be exactly orthogonal to the dominant eigenspace
-    of structured matrices); keeps the larger estimate. Falls back to a dense
-    eigendecomposition for dim <= 64 if unconverged, else raises
-    NonConvergence.
+    A dense eigvalsh: the matrices here are at most a few hundred on a side,
+    where it is exact to rounding and costs less than iterating. Returns 0.0
+    for a zero matrix; raises ValueError for an empty one.
     """
     h = np.asarray(h)
-    dim = h.shape[0]
-    if dim == 0:
+    if h.shape[0] == 0:
         raise ValueError("empty matrix")
-    shift = float(np.max(np.sum(np.abs(h), axis=1)))
-    if shift == 0.0:
-        return 0.0
-    shifted = h + shift * np.eye(dim, dtype=h.dtype)
-    ones = np.ones(dim, dtype=h.dtype)
-    ramp = ones + np.linspace(0.0, 1.0, dim).astype(h.dtype)
-    best = None
-    converged_any = False
-    for start in (ones, ramp):
-        value, converged = _power_iteration(shifted, start, shift, tol, max_iters)
-        converged_any = converged_any or converged
-        if best is None or value > best:
-            best = value
-    if not converged_any:
-        if dim <= 64:
-            return float(np.max(scipy.linalg.eigvalsh(h)))
-        raise NonConvergence(
-            f"power iteration did not converge in {max_iters} iterations (dim={dim})"
-        )
-    return best - shift
+    return float(np.linalg.eigvalsh(h)[-1])

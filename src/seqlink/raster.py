@@ -63,12 +63,15 @@ class PhaseRaster:
     """Per-pixel phase angles in (-pi, pi], stored as (count, height, width).
 
     undersampled marks pixels whose clipped window held fewer samples than
-    the stack depth; failed marks pixels whose solve errored (phases NaN).
+    the stack depth; failed marks pixels whose solve errored (phases NaN);
+    nonconverged marks pixels whose solver hit its iteration budget before
+    the stopping rule held (phases kept, but not to tolerance).
     """
 
     data: np.ndarray
     undersampled: np.ndarray = field(default=None)
     failed: np.ndarray = field(default=None)
+    nonconverged: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -81,9 +84,13 @@ class PhaseRaster:
             self.undersampled = np.zeros(grid, dtype=bool)
         if self.failed is None:
             self.failed = np.zeros(grid, dtype=bool)
+        if self.nonconverged is None:
+            self.nonconverged = np.zeros(grid, dtype=bool)
         self.undersampled = np.asarray(self.undersampled, dtype=bool)
         self.failed = np.asarray(self.failed, dtype=bool)
-        if self.undersampled.shape != grid or self.failed.shape != grid:
+        self.nonconverged = np.asarray(self.nonconverged, dtype=bool)
+        if any(mask.shape != grid for mask in
+               (self.undersampled, self.failed, self.nonconverged)):
             raise ValueError("mask shapes must match the raster grid")
 
     @property
@@ -155,8 +162,9 @@ def process_stack_offline(
 ) -> PhaseRaster:
     """Estimate all stack phases at every pixel; anchored to the first date.
 
-    Per-pixel failures (non-invertible plug-in, no convergence, empty signal)
-    yield NaN phases and a failed-mask bit instead of aborting the raster.
+    Per-pixel failures (non-invertible plug-in, empty signal) yield NaN
+    phases and a failed-mask bit instead of aborting the raster; a solve that
+    runs out of iterations keeps its phases and sets a nonconverged bit.
     """
     _check_distance(distance)
     if stack.count < 2:
@@ -165,6 +173,7 @@ def process_stack_offline(
     out = np.full((l, stack.height, stack.width), np.nan)
     undersampled = np.zeros((stack.height, stack.width), dtype=bool)
     failed = np.zeros((stack.height, stack.width), dtype=bool)
+    nonconverged = np.zeros((stack.height, stack.width), dtype=bool)
 
     def worker(row: int) -> None:
         for col in range(stack.width):
@@ -183,9 +192,10 @@ def process_stack_offline(
                 failed[row, col] = True
                 continue
             out[:, row, col] = np.angle(report.phases)
+            nonconverged[row, col] = not report.converged
 
     _run_rows(stack.height, worker, threads)
-    return PhaseRaster(out, undersampled, failed)
+    return PhaseRaster(out, undersampled, failed, nonconverged)
 
 
 def process_stack_sequential(
@@ -219,6 +229,7 @@ def process_stack_sequential(
     out = np.full((k, stack_new.height, stack_new.width), np.nan)
     undersampled = np.zeros((stack_new.height, stack_new.width), dtype=bool)
     failed = np.zeros((stack_new.height, stack_new.width), dtype=bool)
+    nonconverged = np.zeros((stack_new.height, stack_new.width), dtype=bool)
 
     def worker(row: int) -> None:
         for col in range(stack_new.width):
@@ -245,9 +256,10 @@ def process_stack_sequential(
                 failed[row, col] = True
                 continue
             out[:, row, col] = np.angle(report.phases)
+            nonconverged[row, col] = not report.converged
 
     _run_rows(stack_new.height, worker, threads)
-    return PhaseRaster(out, undersampled, failed)
+    return PhaseRaster(out, undersampled, failed, nonconverged)
 
 
 def interferogram(phases: PhaseRaster, i: int, j: int) -> np.ndarray:

@@ -8,6 +8,13 @@ Each surrogate is linear in w, so its torus minimizer is the entrywise phase
 projection (a zero coefficient leaves that coordinate's value free; we keep
 the previous iterate there, which preserves monotone descent and makes fully
 decoupled coordinates honest fixed points).
+
+The spectral-fit (KL) solvers shift by the exact largest eigenvalue and add
+restarted momentum to the MM map (see _mm_loop), which cuts their iteration
+counts from thousands to about a hundred at l=40. The offline KL solver also
+starts from the EMI estimate, the phase of the smallest eigenvector of
+Ψ⁻¹∘Σ (Ansari, De Zan & Bamler, IEEE TGRS 2018). The least-squares solvers
+converge in tens of plain MM steps and take neither.
 """
 from __future__ import annotations
 
@@ -26,18 +33,14 @@ from .linalg import (
     pd_inverse,
 )
 
-# Solvers resolve the majorization shift tighter than the public 1e-8
-# eigenvalue contract: an underestimated shift weakens the surrogate bound
-# and could nick the monotone-descent guarantee.
-EIG_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MMConfig:
     """Iteration budget and stopping rule for the MM loops.
 
     Stops when |cost_t - cost_{t-1}| <= tol * max(1, |cost_t|), or at
-    max_iters. init=None starts from the all-ones (zero phase) vector.
+    max_iters. init=None starts the offline spectral-fit solver from the EMI
+    estimate and every other solver from the all-ones (zero phase) vector.
     """
 
     max_iters: int = 100
@@ -105,15 +108,48 @@ def _stopped(cost_now: float, cost_prev: float, tol: float) -> bool:
     return abs(cost_now - cost_prev) <= tol * max(1.0, abs(cost_now))
 
 
-def _mm_loop(w0, cost_of, next_of, cfg: MMConfig) -> SolveReport:
-    w = w0
-    trace = [cost_of(w)]
+def _next_t(t: float) -> float:
+    return (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+
+
+def _mm_loop(w0, cost_of, next_of, cfg: MMConfig,
+             momentum: bool = False) -> SolveReport:
+    """Iterate w⁺ = Φ(next_of(w)) until the cost settles (see MMConfig).
+
+    With momentum, each step first extrapolates y = Φ(w + β(w - w_prev)),
+    with the FISTA sequence t⁺ = (1 + √(1 + 4t²))/2 from t = 1 and
+    β = (t - 1)/t⁺, and applies the MM map at y. That candidate is accepted
+    only if its cost is no higher than the cost at w; otherwise t restarts
+    at 1 and the plain MM step from w is taken instead (Sun, Babu & Palomar,
+    IEEE TSP 2017). So descent stays monotone, and since β = 0 at t = 1 the
+    first step is always the plain one.
+    """
+    w = w_prev = w0
+    cost = cost_of(w)
+    trace = [cost]
+    t = 1.0
     iterations = 0
     converged = False
     for _ in range(cfg.max_iters):
-        w = _project_keep(next_of(w), w)
+        candidate = None
+        if momentum:
+            t_next = _next_t(t)
+            beta = (t - 1.0) / t_next
+            t = t_next
+            if beta > 0.0:
+                y = _project_keep(w + beta * (w - w_prev), w)
+                candidate = _project_keep(next_of(y), y)
+                candidate_cost = cost_of(candidate)
+                if candidate_cost > cost:
+                    # restart: the plain step below is the step at t = 1
+                    candidate = None
+                    t = _next_t(1.0)
+        if candidate is None:
+            candidate = _project_keep(next_of(w), w)
+            candidate_cost = cost_of(candidate)
+        w_prev, w, cost = w, candidate, candidate_cost
         iterations += 1
-        trace.append(cost_of(w))
+        trace.append(cost)
         if _stopped(trace[-1], trace[-2], cfg.tol):
             converged = True
             break
@@ -133,19 +169,26 @@ def solve_offline_kl(
     """Full-stack MM under the spectral-fit objective wᴴ(Ψ⁻¹∘Σ)w.
 
     The convex quadratic form is majorized by its linearization shifted by
-    the dominant eigenvalue, giving the update w⁺ = Φ((λ_max I - H) w).
-    Output is anchored to the first date.
+    the largest eigenvalue, giving the update w⁺ = Φ((λ_max I - H) w), run
+    with restarted momentum. One eigendecomposition of H gives both λ_max
+    and, unless cfg.init is set, the EMI start: the phase of the eigenvector
+    of the smallest eigenvalue. Output is anchored to the first date.
     """
     sigma = np.asarray(sigma)
     psi_inv = pd_inverse(abs_entrywise(sigma), jitter)
     h = hadamard(psi_inv, sigma)
-    lam = largest_eigenvalue(h, tol=EIG_TOL)
-    w0 = cfg.start_vector(sigma.shape[0])
+    vals, vecs = np.linalg.eigh(h)
+    lam = float(vals[-1])
+    if cfg.init is None:
+        w0 = phase_project(vecs[:, 0])
+    else:
+        w0 = cfg.start_vector(sigma.shape[0])
     report = _mm_loop(
         w0,
         cost_of=lambda w: quad_form(w, h),
         next_of=lambda w: lam * w - h @ w,
         cfg=cfg,
+        momentum=True,
     )
     report.phases = anchor_reference(report.phases)
     return report
@@ -180,16 +223,17 @@ def solve_seq_kl(
     the p past phases fixed.
 
     Iterates w̄⁺ = Φ( ((-A)∘Σ_pn) w_past - (M - λ_max I) w̄ ) with
-    M = D⁻¹∘Σ_n; only k x k and k x p products appear per solve. The
-    reported cost is the block objective including its constant past term
-    (computed once), so traces are comparable with offline runs. The output
-    is not re-anchored: the phase reference lives in w_past.
+    M = D⁻¹∘Σ_n, with restarted momentum; only k x k and k x p products
+    appear per solve. The reported cost is the block objective including its
+    constant past term (computed once), so traces are comparable with
+    offline runs. The output is not re-anchored: the phase reference lives
+    in w_past.
     """
     w_past = np.asarray(w_past, dtype=complex)
     m_mat = factors.m_mat
     if m_mat is None:
         m_mat = hadamard(factors.d_inv, blocks.new)
-    lam = largest_eigenvalue(m_mat, tol=EIG_TOL)
+    lam = largest_eigenvalue(m_mat)
     n_vec = hadamard(-factors.a_mat, blocks.cross) @ w_past
     const_past = quad_form(w_past, hadamard(factors.f_inv(), blocks.past))
 
@@ -205,6 +249,7 @@ def solve_seq_kl(
         cost_of=cost_of,
         next_of=lambda w: n_vec - (m_mat @ w - lam * w),
         cfg=cfg,
+        momentum=True,
     )
 
 

@@ -109,6 +109,7 @@ def test_offline_solve_reports_small_error_on_noiseless_scene(scene):
     assert result.returncode == 0, result.stderr
     record = read_manifest(scene / "offline.csv.manifest.txt")
     assert float(record["error.max_interior"]) < 1e-5
+    assert record["pixels.nonconverged"] == "0"
     raster = read_phase_raster(out)
     assert raster.count == 6
 
@@ -131,6 +132,7 @@ def test_sequential_solve_from_prior_offline_run(scene):
     assert raster.count == 2
     record = read_manifest(scene / "seq.csv.manifest.txt")
     assert float(record["error.max_interior"]) < 1e-5
+    assert record["pixels.nonconverged"] == "0"
     assert record["input.past_phases"] == str(past_out)
 
 
@@ -139,6 +141,25 @@ def test_sequential_without_past_inputs_exits_2(scene):
                      "--mode", "sequential")
     assert result.returncode == 2
     assert "past" in result.stderr
+
+
+def test_solve_flags_pixels_that_run_out_of_iterations(tmp_path):
+    cfg = tmp_path / "noisy.cfg"
+    stack = tmp_path / "noisy.slk"
+    cfg.write_text(SIM_CFG.format(out=stack).replace("noiseless = true",
+                                                     "noiseless = false"))
+    assert run_cli("simulate", cfg).returncode == 0
+    out = tmp_path / "noisy.csv"
+    result = run_cli("solve", stack, "--window", 4, "--max-iters", 1,
+                     "--out", out)
+    assert result.returncode == 0, result.stderr
+    record = read_manifest(tmp_path / "noisy.csv.manifest.txt")
+    count = int(record["pixels.nonconverged"])
+    assert count > 0
+    assert f"{count} did not converge" in result.stderr
+    # unconverged phases are still written, not turned into failures
+    assert record["pixels.failed"] == "0"
+    assert not np.isnan(read_phase_raster(out).data).any()
 
 
 def test_binary_raster_output_round_trips(scene):

@@ -304,6 +304,23 @@ def test_largest_eigenvalue_start_orthogonal_to_dominant():
     assert np.isclose(largest_eigenvalue(h), 2.0, rtol=1e-8)
 
 
+def test_largest_eigenvalue_one_by_one():
+    assert largest_eigenvalue(np.array([[-2.5]])) == -2.5
+
+
+def test_largest_eigenvalue_repeated_top_eigenvalue():
+    rng = np.random.default_rng(14)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5))
+                        + 1j * rng.standard_normal((5, 5)))
+    h = hermitize(q @ np.diag([4.0, 4.0, 1.0, -2.0, 0.5]) @ q.conj().T)
+    assert abs(largest_eigenvalue(h) - 4.0) <= 1e-12 * 4.0
+
+
+def test_largest_eigenvalue_rejects_empty_matrix():
+    with pytest.raises(ValueError):
+        largest_eigenvalue(np.zeros((0, 0)))
+
+
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(1e-3, 1e3))
 def test_largest_eigenvalue_scales_linearly(seed, alpha):

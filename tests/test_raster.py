@@ -87,8 +87,12 @@ def test_phase_raster_validation_and_default_masks():
     assert raster.undersampled.shape == (4, 6)
     assert not raster.undersampled.any()
     assert not raster.failed.any()
+    assert raster.nonconverged.shape == (4, 6)
+    assert not raster.nonconverged.any()
     with pytest.raises(ValueError):
         PhaseRaster(np.zeros((2, 4, 6)), undersampled=np.zeros((3, 6), dtype=bool))
+    with pytest.raises(ValueError):
+        PhaseRaster(np.zeros((2, 4, 6)), nonconverged=np.zeros((4, 5), dtype=bool))
 
 
 def test_window_extract_single_pixel():
@@ -190,6 +194,7 @@ def test_offline_raster_thread_count_does_not_change_output():
     assert np.array_equal(one.data, four.data, equal_nan=True)
     assert np.array_equal(one.undersampled, four.undersampled)
     assert np.array_equal(one.failed, four.failed)
+    assert np.array_equal(one.nonconverged, four.nonconverged)
 
 
 def test_offline_raster_validates_distance_and_depth():
@@ -292,6 +297,7 @@ def test_sequential_thread_count_does_not_change_output():
                                     "kl", win, TIGHT, threads=4)
     assert np.array_equal(one.data, four.data, equal_nan=True)
     assert np.array_equal(one.failed, four.failed)
+    assert np.array_equal(one.nonconverged, four.nonconverged)
 
 
 def test_sequential_validates_alignment():

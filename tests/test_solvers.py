@@ -6,13 +6,20 @@ import scipy.linalg
 
 from seqlink import (
     MMConfig,
+    PluginSpec,
+    SimulationConfig,
     abs_entrywise,
     anchor_reference,
+    estimate,
     frob_cost_block,
+    ground_truth,
     kl_cost_block,
+    kl_cost_full,
     partition,
     phase_project,
+    pd_inverse,
     quad_form,
+    sample_stack,
     schur_factors,
     scm,
     solve_offline_frob,
@@ -20,6 +27,7 @@ from seqlink import (
     solve_seq_frob,
     solve_seq_kl,
 )
+from seqlink.bench import BENCH_SOLVER
 
 
 def random_torus(rng, dim):
@@ -351,3 +359,96 @@ def test_sequential_concatenation_matches_offline_on_noiseless_cov():
         reference = offline().phases
         aligned = combined * np.conj(combined[0]) * reference[0]
         assert max_angle_error(aligned, reference) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# fast spectral-fit path: exact shift, EMI start, restarted momentum
+
+# the acceptance scenario: l = 40 dates split 35 + 5, rho = 0.98, n = 64
+SCENARIO = SimulationConfig(l=40, p=35, k=5, rho=0.98, n=64)
+
+
+def scenario_plugins(spec, draws):
+    """(past plug-in, full plug-in) for the first `draws` scenario draws."""
+    _, _, sigma_true = ground_truth(SCENARIO)
+    out = []
+    for trial in range(draws):
+        stack = sample_stack(sigma_true, SCENARIO,
+                             np.random.SeedSequence([11, SCENARIO.n, trial]))
+        out.append((estimate(stack[:, :SCENARIO.p], spec),
+                    estimate(stack, spec)))
+    return out
+
+
+def plain_mm_kl(sigma, w_past=None, iters=20_000):
+    """Reference plain MM on the spectral-fit objective, written from the
+    full matrix H = Ψ⁻¹∘Σ: all-ones start, no momentum, a dense λ_max of the
+    free block. With w_past, only the trailing dates move. Returns the final
+    full-stack cost."""
+    h = pd_inverse(abs_entrywise(sigma)) * sigma
+    p = 0 if w_past is None else w_past.size
+    h_free = h[p:, p:]
+    fixed = h[p:, :p] @ w_past if p else 0.0
+    lam = np.linalg.eigvalsh(h_free)[-1]
+    w = np.ones(h.shape[0] - p, dtype=complex)
+    for _ in range(iters):
+        w = phase_project(lam * w - h_free @ w - fixed)
+    full = w if w_past is None else np.concatenate([w_past, w])
+    return quad_form(full, h)
+
+
+@pytest.mark.parametrize("spec", [PluginSpec(),
+                                  PluginSpec(regularizer="shrink", beta=0.5)],
+                         ids=["scm", "shrink0.5"])
+def test_accelerated_kl_descends_over_long_runs(spec):
+    rng = np.random.default_rng(76)
+    l, p = SCENARIO.l, SCENARIO.p
+    # tol = 0 runs until the cost repeats exactly; the all-ones and random
+    # starts take the long way, through many momentum restarts
+    runs = [MMConfig(max_iters=3000, tol=0.0, init=init)
+            for init in (None, np.ones(l, dtype=complex), random_torus(rng, l))]
+    seq_runs = [MMConfig(max_iters=3000, tol=0.0, init=init)
+                for init in (None, random_torus(rng, l - p))]
+    for past_sigma, sigma in scenario_plugins(spec, 2):
+        w_past = solve_offline_kl(past_sigma, BENCH_SOLVER).phases
+        blocks, factors = seq_inputs(sigma, p)
+        reports = ([solve_offline_kl(sigma, cfg) for cfg in runs]
+                   + [solve_seq_kl(blocks, factors, w_past, cfg)
+                      for cfg in seq_runs])
+        for report in reports:
+            trace = report.cost_trace
+            rises = np.diff(trace) / np.abs(trace[:-1])
+            assert np.max(rises) <= 1e-9
+
+
+@pytest.mark.parametrize("spec", [PluginSpec(),
+                                  PluginSpec(regularizer="shrink", beta=0.5)],
+                         ids=["scm", "shrink0.5"])
+def test_fast_kl_reaches_plain_mm_cost(spec):
+    for past_sigma, sigma in scenario_plugins(spec, 2):
+        offline = solve_offline_kl(sigma, BENCH_SOLVER)
+        got = kl_cost_full(offline.phases, sigma)
+        want = plain_mm_kl(sigma)
+        assert got <= want + 1e-8 * abs(want)
+
+        w_past = solve_offline_kl(past_sigma, BENCH_SOLVER).phases
+        blocks, factors = seq_inputs(sigma, SCENARIO.p)
+        seq = solve_seq_kl(blocks, factors, w_past, BENCH_SOLVER)
+        got = kl_cost_full(np.concatenate([w_past, seq.phases]), sigma)
+        want = plain_mm_kl(sigma, w_past)
+        assert got <= want + 1e-8 * abs(want)
+
+
+def test_fast_kl_iteration_counts_stay_low():
+    offline_iters, seq_iters = [], []
+    for past_sigma, sigma in scenario_plugins(PluginSpec(), 20):
+        past = solve_offline_kl(past_sigma, BENCH_SOLVER)
+        full = solve_offline_kl(sigma, BENCH_SOLVER)
+        blocks, factors = seq_inputs(sigma, SCENARIO.p)
+        seq = solve_seq_kl(blocks, factors, past.phases, BENCH_SOLVER)
+        assert past.converged and full.converged and seq.converged
+        offline_iters += [past.iterations, full.iterations]
+        seq_iters.append(seq.iterations)
+    # plain MM from all-ones takes medians of about 4700 and 650 here
+    assert np.median(offline_iters) <= 300
+    assert np.median(seq_iters) <= 200
