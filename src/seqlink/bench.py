@@ -19,6 +19,7 @@ from .linalg import abs_entrywise, partition, schur_factors
 from .plugins import PluginSpec, estimate, scm
 from .simulate import SimulationConfig, ground_truth, sample_stack
 from .solvers import (
+    DISTANCES,
     MMConfig,
     solve_offline_frob,
     solve_offline_kl,
@@ -27,7 +28,6 @@ from .solvers import (
 )
 
 MODES = ("offline", "sequential", "multiblock")
-DISTANCES = ("kl", "frob")
 MULTIBLOCK_ARMS = ("offline", "sequential", "chained")
 
 CSV_HEADER = "mode,distance,estimator,regularizer,n,trials,excluded,mse,stderr"

@@ -20,17 +20,16 @@ from .bench import (
 )
 from .config import build_plugin, load_experiments, load_simulate_job
 from .errors import ConfigError, SeqlinkError
+from .plugins import window_bounds
 from .raster import (
-    DISTANCES,
     ImageStack,
     noiseless_raster,
     process_stack_offline,
     process_stack_sequential,
-    window_area,
     wrap_angle,
 )
 from .simulate import ground_truth, sample_stack
-from .solvers import MMConfig
+from .solvers import DISTANCES, MMConfig
 from .stackio import (
     append_manifest,
     manifest_path_for,
@@ -107,11 +106,9 @@ def _truth_metrics(raster, truth_angles, mode, win):
     expected = wrap_angle(expected - truth_angles[0])
     gaps = np.abs(wrap_angle(raster.data - expected[:, None, None]))
     ok = ~raster.failed
-    full = np.zeros_like(ok)
-    for row in range(raster.height):
-        for col in range(raster.width):
-            full[row, col] = window_area(
-                raster.height, raster.width, row, col, win) == win * win
+    r0, r1 = window_bounds(raster.height, win)
+    c0, c1 = window_bounds(raster.width, win)
+    full = np.outer(r1 - r0 == win, c1 - c0 == win)
     def max_over(mask):
         if not mask.any():
             return float("nan")
@@ -171,6 +168,10 @@ def cmd_solve(args) -> int:
               f"{undersampled} undersampled", file=sys.stderr)
     metrics = {"pixels.failed": failed, "pixels.nonconverged": nonconverged,
                "pixels.undersampled": undersampled}
+    solved = raster.iterations[~raster.failed]
+    metrics["iterations.p50"] = (repr(float(np.median(solved)))
+                                 if solved.size else "nan")
+    metrics["iterations.max"] = int(solved.max()) if solved.size else "nan"
     if args.truth:
         truth_angles = read_truth_csv(args.truth)
         metrics.update(_truth_metrics(raster, truth_angles, args.mode,

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bench import BENCH_SOLVER, DISTANCES, MODES, ExperimentConfig
+from .bench import BENCH_SOLVER, MODES, ExperimentConfig
 from .errors import ConfigError
 from .plugins import ESTIMATORS, PluginSpec
 from .simulate import DISTRIBUTIONS, SimulationConfig
-from .solvers import MMConfig
+from .solvers import DISTANCES, MMConfig
 
 _INT_KEYS = frozenset({
     "l", "p", "k", "n", "seed", "height", "width", "window", "trials",

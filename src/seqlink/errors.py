@@ -9,10 +9,6 @@ class NotPositiveDefinite(SeqlinkError):
     """A matrix that must be positive definite failed factorization."""
 
 
-class NonConvergence(SeqlinkError):
-    """An iterative routine hit its iteration cap on pathological input."""
-
-
 class ConfigError(SeqlinkError):
     """A configuration file or CLI argument failed validation."""
 

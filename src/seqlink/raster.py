@@ -1,9 +1,11 @@
 """Whole-raster phase estimation.
 
-Per pixel: extract a sliding-window neighborhood, form the configured
-covariance plug-in, and run the offline or sequential solver. Pixels are
-independent, so rasters can be processed with any number of worker threads
-with byte-identical results.
+The raster is processed row by row. Each row builds every pixel's
+sliding-window plug-in in one pass (plugins.window_estimates) and solves its
+least-squares pixels together in one stacked MM (solvers.frob_mm); spectral-
+fit pixels run the per-pixel KL solvers on the row's plug-ins. Pixels are
+independent, so the result is byte-identical for any number of worker
+threads.
 """
 from __future__ import annotations
 
@@ -14,17 +16,22 @@ import numpy as np
 
 from .errors import SeqlinkError
 from .linalg import abs_entrywise, partition, schur_factors
-from .plugins import PluginSpec, estimate
+# estimate, solve_offline_frob and solve_seq_frob are not called here; they
+# stay importable from this module because perfbench/spans.py wraps them here
+from .plugins import PluginSpec, estimate, window_bounds, window_estimates  # noqa: F401
 from .simulate import noiseless_stack
-from .solvers import (
+from .solvers import (  # noqa: F401
+    DISTANCES,
+    BatchReport,
     MMConfig,
+    anchor_reference,
+    frob_mm,
+    frob_seq_terms,
     solve_offline_frob,
     solve_offline_kl,
     solve_seq_frob,
     solve_seq_kl,
 )
-
-DISTANCES = ("kl", "frob")
 
 
 def wrap_angle(x):
@@ -65,13 +72,15 @@ class PhaseRaster:
     undersampled marks pixels whose clipped window held fewer samples than
     the stack depth; failed marks pixels whose solve errored (phases NaN);
     nonconverged marks pixels whose solver hit its iteration budget before
-    the stopping rule held (phases kept, but not to tolerance).
+    the stopping rule held (phases kept, but not to tolerance); iterations
+    holds each pixel's MM iteration count (0 where nothing was solved).
     """
 
     data: np.ndarray
     undersampled: np.ndarray = field(default=None)
     failed: np.ndarray = field(default=None)
     nonconverged: np.ndarray = field(default=None)
+    iterations: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -80,18 +89,13 @@ class PhaseRaster:
         if min(self.data.shape) < 1:
             raise ValueError(f"raster dims must be positive, got {self.data.shape}")
         grid = self.data.shape[1:]
-        if self.undersampled is None:
-            self.undersampled = np.zeros(grid, dtype=bool)
-        if self.failed is None:
-            self.failed = np.zeros(grid, dtype=bool)
-        if self.nonconverged is None:
-            self.nonconverged = np.zeros(grid, dtype=bool)
-        self.undersampled = np.asarray(self.undersampled, dtype=bool)
-        self.failed = np.asarray(self.failed, dtype=bool)
-        self.nonconverged = np.asarray(self.nonconverged, dtype=bool)
-        if any(mask.shape != grid for mask in
-               (self.undersampled, self.failed, self.nonconverged)):
-            raise ValueError("mask shapes must match the raster grid")
+        for name, dtype in (("undersampled", bool), ("failed", bool),
+                            ("nonconverged", bool), ("iterations", int)):
+            value = getattr(self, name)
+            value = np.zeros(grid, dtype) if value is None else np.asarray(value, dtype)
+            if value.shape != grid:
+                raise ValueError("mask shapes must match the raster grid")
+            setattr(self, name, value)
 
     @property
     def count(self) -> int:
@@ -106,17 +110,11 @@ class PhaseRaster:
         return self.data.shape[2]
 
 
-def _window_bounds(size: int, center: int, win: int):
-    start = max(0, center - win // 2)
-    stop = min(size, center - win // 2 + win)
-    return start, stop
-
-
 def window_area(height: int, width: int, row: int, col: int, win: int) -> int:
     """Sample count of the clipped win x win window centered at (row, col)."""
-    r0, r1 = _window_bounds(height, row, win)
-    c0, c1 = _window_bounds(width, col, win)
-    return (r1 - r0) * (c1 - c0)
+    r0, r1 = window_bounds(height, win)
+    c0, c1 = window_bounds(width, win)
+    return int((r1[row] - r0[row]) * (c1[col] - c0[col]))
 
 
 def sliding_window_extract(
@@ -132,9 +130,9 @@ def sliding_window_extract(
     if not (0 <= row < stack.height and 0 <= col < stack.width):
         raise IndexError(
             f"pixel ({row}, {col}) outside {stack.height} x {stack.width} raster")
-    r0, r1 = _window_bounds(stack.height, row, win)
-    c0, c1 = _window_bounds(stack.width, col, win)
-    patch = stack.data[:, r0:r1, c0:c1]
+    r0, r1 = window_bounds(stack.height, win)
+    c0, c1 = window_bounds(stack.width, win)
+    patch = stack.data[:, r0[row]:r1[row], c0[col]:c1[col]]
     return patch.reshape(stack.count, -1).T
 
 
@@ -150,6 +148,69 @@ def _run_rows(height: int, worker, threads: int) -> None:
 def _check_distance(distance: str) -> None:
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}; choose from {DISTANCES}")
+
+
+def _window_masks(data: np.ndarray, win: int, depth: int):
+    """(undersampled, empty) pixel grids: windows holding fewer than depth
+    samples, and windows whose samples are all exactly zero (a box count of
+    nonzero pixels over an integral image)."""
+    if win < 1:
+        raise ValueError("win must be >= 1")
+    height, width = data.shape[1:]
+    r0, r1 = window_bounds(height, win)
+    c0, c1 = window_bounds(width, win)
+    nonzero = np.zeros((height + 1, width + 1), dtype=np.int64)
+    nonzero[1:, 1:] = np.any(data != 0, axis=0).cumsum(0).cumsum(1)
+    counts = (nonzero[np.ix_(r1, c1)] - nonzero[np.ix_(r0, c1)]
+              - nonzero[np.ix_(r1, c0)] + nonzero[np.ix_(r0, c0)])
+    return np.outer(r1 - r0, c1 - c0) < depth, counts == 0
+
+
+def _per_pixel(count: int, pixels: int, fit) -> BatchReport:
+    """Run fit(i) -> SolveReport for pixels 0..pixels-1; a pixel whose fit
+    raises a solver or linear-algebra error keeps NaN phases."""
+    batch = BatchReport(np.full((pixels, count), np.nan, dtype=complex),
+                        np.zeros(pixels, dtype=int), np.zeros(pixels, dtype=bool))
+    for i in range(pixels):
+        try:
+            report = fit(i)
+        except (SeqlinkError, np.linalg.LinAlgError):
+            continue
+        batch.phases[i] = report.phases
+        batch.iterations[i] = report.iterations
+        batch.converged[i] = report.converged
+    return batch
+
+
+def _process(data: np.ndarray, count: int, win: int, spec: PluginSpec,
+             skip: np.ndarray, solve, threads: int) -> PhaseRaster:
+    """Run `solve` over the rows of an (l, height, width) stack.
+
+    solve(sigma, row, live) gets the (B, l, l) plug-ins of the row's live
+    pixels (those not in skip) and returns their BatchReport; NaN phases
+    mark a failed pixel.
+    """
+    l, height, width = data.shape
+    undersampled, empty = _window_masks(data, win, l)
+    failed = skip | empty
+    out = np.full((count, height, width), np.nan)
+    iterations = np.zeros((height, width), dtype=int)
+    nonconverged = np.zeros((height, width), dtype=bool)
+
+    def worker(row: int) -> None:
+        live = ~failed[row]
+        if not live.any():
+            return
+        sigma = window_estimates(data, row, win, spec)
+        batch = solve(sigma if live.all() else sigma[live], row, live)
+        lost = np.isnan(batch.phases).any(axis=1)
+        out[:, row, live] = np.angle(batch.phases).T
+        iterations[row, live] = batch.iterations
+        nonconverged[row, live] = ~batch.converged & ~lost
+        failed[row, live] = lost
+
+    _run_rows(height, worker, threads)
+    return PhaseRaster(out, undersampled, failed, nonconverged, iterations)
 
 
 def process_stack_offline(
@@ -170,32 +231,20 @@ def process_stack_offline(
     if stack.count < 2:
         raise ValueError("need at least two images to link phases")
     l = stack.count
-    out = np.full((l, stack.height, stack.width), np.nan)
-    undersampled = np.zeros((stack.height, stack.width), dtype=bool)
-    failed = np.zeros((stack.height, stack.width), dtype=bool)
-    nonconverged = np.zeros((stack.height, stack.width), dtype=bool)
 
-    def worker(row: int) -> None:
-        for col in range(stack.width):
-            samples = sliding_window_extract(stack, row, col, win)
-            undersampled[row, col] = samples.shape[0] < l
-            if not np.any(samples):
-                failed[row, col] = True
-                continue
-            try:
-                sigma = estimate(samples, spec)
-                if distance == "kl":
-                    report = solve_offline_kl(sigma, cfg)
-                else:
-                    report = solve_offline_frob(sigma, cfg)
-            except (SeqlinkError, np.linalg.LinAlgError):
-                failed[row, col] = True
-                continue
-            out[:, row, col] = np.angle(report.phases)
-            nonconverged[row, col] = not report.converged
+    def solve(sigma, row, live):
+        if distance == "kl":
+            return _per_pixel(l, len(sigma),
+                              lambda i: solve_offline_kl(sigma[i], cfg))
+        # H = 2(|Σ|∘Σ) as in solve_offline_frob, built in place
+        sigma *= abs_entrywise(sigma)
+        sigma *= 2.0
+        batch = frob_mm(sigma, 0.0, 0.0, cfg)
+        batch.phases = anchor_reference(batch.phases)
+        return batch
 
-    _run_rows(stack.height, worker, threads)
-    return PhaseRaster(out, undersampled, failed, nonconverged)
+    skip = np.zeros((stack.height, stack.width), dtype=bool)
+    return _process(stack.data, l, win, spec, skip, solve, threads)
 
 
 def process_stack_sequential(
@@ -225,41 +274,22 @@ def process_stack_sequential(
             f"past raster holds {past_phases.count} phases but past stack has "
             f"{stack_past.count} images")
     p, k = stack_past.count, stack_new.count
-    combined = ImageStack(np.concatenate([stack_past.data, stack_new.data], axis=0))
-    out = np.full((k, stack_new.height, stack_new.width), np.nan)
-    undersampled = np.zeros((stack_new.height, stack_new.width), dtype=bool)
-    failed = np.zeros((stack_new.height, stack_new.width), dtype=bool)
-    nonconverged = np.zeros((stack_new.height, stack_new.width), dtype=bool)
 
-    def worker(row: int) -> None:
-        for col in range(stack_new.width):
-            samples = sliding_window_extract(combined, row, col, win)
-            undersampled[row, col] = samples.shape[0] < p + k
-            past_angles = past_phases.data[:, row, col]
-            if past_phases.failed[row, col] or np.any(np.isnan(past_angles)):
-                failed[row, col] = True
-                continue
-            if not np.any(samples):
-                failed[row, col] = True
-                continue
-            try:
-                sigma = estimate(samples, spec)
-                blocks = partition(sigma, p)
-                w_past = np.exp(1j * past_angles)
-                if distance == "kl":
-                    factors = schur_factors(
-                        abs_entrywise(sigma), p, sigma_new=blocks.new)
-                    report = solve_seq_kl(blocks, factors, w_past, cfg)
-                else:
-                    report = solve_seq_frob(blocks, w_past, cfg)
-            except (SeqlinkError, np.linalg.LinAlgError):
-                failed[row, col] = True
-                continue
-            out[:, row, col] = np.angle(report.phases)
-            nonconverged[row, col] = not report.converged
+    def solve(sigma, row, live):
+        w_past = np.exp(1j * past_phases.data[:, row, live].T)
+        if distance == "kl":
+            def fit(i):
+                blocks = partition(sigma[i], p)
+                factors = schur_factors(
+                    abs_entrywise(sigma[i]), p, sigma_new=blocks.new)
+                return solve_seq_kl(blocks, factors, w_past[i], cfg)
+            return _per_pixel(k, len(sigma), fit)
+        return frob_mm(*frob_seq_terms(sigma[:, :p, :p], sigma[:, p:, :p],
+                                       sigma[:, p:, p:], w_past), cfg)
 
-    _run_rows(stack_new.height, worker, threads)
-    return PhaseRaster(out, undersampled, failed, nonconverged)
+    skip = past_phases.failed | np.isnan(past_phases.data).any(axis=0)
+    combined = np.concatenate([stack_past.data, stack_new.data], axis=0)
+    return _process(combined, k, win, spec, skip, solve, threads)
 
 
 def interferogram(phases: PhaseRaster, i: int, j: int) -> np.ndarray:

@@ -14,7 +14,9 @@ restarted momentum to the MM map (see _mm_loop), which cuts their iteration
 counts from thousands to about a hundred at l=40. The offline KL solver also
 starts from the EMI estimate, the phase of the smallest eigenvector of
 Ψ⁻¹∘Σ (Ansari, De Zan & Bamler, IEEE TGRS 2018). The least-squares solvers
-converge in tens of plain MM steps and take neither.
+converge in tens of plain MM steps and take neither; they share one kernel,
+frob_mm, that runs a whole stack of problems (say, every pixel of a raster
+row) at once.
 """
 from __future__ import annotations
 
@@ -32,6 +34,9 @@ from .linalg import (
     largest_eigenvalue,
     pd_inverse,
 )
+
+# the two covariance-fitting objectives: spectral fit and least squares
+DISTANCES = ("kl", "frob")
 
 
 @dataclass(frozen=True)
@@ -95,12 +100,13 @@ def _project_keep(v: np.ndarray, previous: np.ndarray) -> np.ndarray:
 
 def anchor_reference(w: np.ndarray) -> np.ndarray:
     """Rotate a torus vector so the first entry is exactly 1 (reference
-    date has phase zero); pairwise phase differences are unchanged."""
+    date has phase zero); pairwise phase differences are unchanged. A
+    (..., l) stack is anchored vector by vector."""
     w = np.asarray(w, dtype=complex)
     if w.size < 1:
         raise ValueError("empty phase vector")
-    out = w * np.conj(w[0])
-    out[0] = 1.0
+    out = w * np.conj(w[..., :1])
+    out[..., 0] = 1.0
     return out
 
 
@@ -112,17 +118,17 @@ def _next_t(t: float) -> float:
     return (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
 
 
-def _mm_loop(w0, cost_of, next_of, cfg: MMConfig,
-             momentum: bool = False) -> SolveReport:
-    """Iterate w⁺ = Φ(next_of(w)) until the cost settles (see MMConfig).
+def _mm_loop(w0, cost_of, next_of, cfg: MMConfig) -> SolveReport:
+    """Iterate w⁺ = Φ(next_of(w)) with restarted momentum until the cost
+    settles (see MMConfig).
 
-    With momentum, each step first extrapolates y = Φ(w + β(w - w_prev)),
-    with the FISTA sequence t⁺ = (1 + √(1 + 4t²))/2 from t = 1 and
-    β = (t - 1)/t⁺, and applies the MM map at y. That candidate is accepted
-    only if its cost is no higher than the cost at w; otherwise t restarts
-    at 1 and the plain MM step from w is taken instead (Sun, Babu & Palomar,
-    IEEE TSP 2017). So descent stays monotone, and since β = 0 at t = 1 the
-    first step is always the plain one.
+    Each step first extrapolates y = Φ(w + β(w - w_prev)), with the FISTA
+    sequence t⁺ = (1 + √(1 + 4t²))/2 from t = 1 and β = (t - 1)/t⁺, and
+    applies the MM map at y. That candidate is accepted only if its cost is
+    no higher than the cost at w; otherwise t restarts at 1 and the plain MM
+    step from w is taken instead (Sun, Babu & Palomar, IEEE TSP 2017). So
+    descent stays monotone, and since β = 0 at t = 1 the first step is always
+    the plain one.
     """
     w = w_prev = w0
     cost = cost_of(w)
@@ -132,18 +138,17 @@ def _mm_loop(w0, cost_of, next_of, cfg: MMConfig,
     converged = False
     for _ in range(cfg.max_iters):
         candidate = None
-        if momentum:
-            t_next = _next_t(t)
-            beta = (t - 1.0) / t_next
-            t = t_next
-            if beta > 0.0:
-                y = _project_keep(w + beta * (w - w_prev), w)
-                candidate = _project_keep(next_of(y), y)
-                candidate_cost = cost_of(candidate)
-                if candidate_cost > cost:
-                    # restart: the plain step below is the step at t = 1
-                    candidate = None
-                    t = _next_t(1.0)
+        t_next = _next_t(t)
+        beta = (t - 1.0) / t_next
+        t = t_next
+        if beta > 0.0:
+            y = _project_keep(w + beta * (w - w_prev), w)
+            candidate = _project_keep(next_of(y), y)
+            candidate_cost = cost_of(candidate)
+            if candidate_cost > cost:
+                # restart: the plain step below is the step at t = 1
+                candidate = None
+                t = _next_t(1.0)
         if candidate is None:
             candidate = _project_keep(next_of(w), w)
             candidate_cost = cost_of(candidate)
@@ -158,6 +163,103 @@ def _mm_loop(w0, cost_of, next_of, cfg: MMConfig,
         cost_trace=np.array(trace),
         iterations=iterations,
         converged=converged,
+    )
+
+
+@dataclass
+class BatchReport:
+    """frob_mm output, one entry per problem of the stack.
+
+    cost_trace, when asked for, is (steps + 1, B): row t holds each
+    problem's cost after t steps, NaN once that problem has stopped.
+    """
+
+    phases: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    cost_trace: np.ndarray | None = None
+
+
+def _stopped_each(gain, prev, tol: float):
+    """Mask of the problems whose cost settled (_stopped on each), or None
+    if none did. A single problem is tested on Python floats: the same rule
+    without numpy's per-call overhead, which dominates one small solve.
+    """
+    if gain.size == 1:
+        settled = _stopped(gain.item(), prev.item(), tol)
+        return np.ones(1, dtype=bool) if settled else None
+    done = np.abs(gain - prev) <= tol * np.maximum(1.0, np.abs(gain))
+    return done if np.count_nonzero(done) else None
+
+
+def frob_mm(h, b, const, cfg: MMConfig = MMConfig(),
+            trace: bool = False) -> BatchReport:
+    """Least-squares MM on a stack of B problems at once.
+
+    Problem i minimizes const_i - Re(wᴴ(H_i w + 2 b_i)) over the torus,
+    with h (B, k, k) Hermitian, b (B, k) and const (B,) (b and const may
+    be anything that broadcasts, such as 0). The concave form is majorized
+    by its linearization, so each step is w⁺ = Φ(H w + b), where a zero
+    coefficient keeps the previous iterate. Every problem starts from cfg's
+    start vector and stops under MMConfig's rule on its own cost; stopped
+    problems leave the active stack, so each result is the same whatever
+    else is in the batch.
+    """
+    count, dim = len(h), h.shape[-1]
+    # bordered matrices [[H, b], [bᴴ, -const]]: with w̃ = (w, 1), the one
+    # product H̃w̃ per step holds the next step's H w + b, and w̃ᴴH̃w̃ is the
+    # negated cost
+    mat = np.empty((count, dim + 1, dim + 1), dtype=complex)
+    mat[:, :dim, :dim] = h
+    mat[:, :dim, dim] = b
+    mat[:, dim, :dim] = np.conj(b)
+    mat[:, dim, dim] = np.negative(const)
+    w = np.ones((count, dim + 1), dtype=complex)
+    if cfg.init is not None:
+        w[:, :dim] = cfg.start_vector(dim)
+    phases = np.empty((count, dim), dtype=complex)
+    iterations = np.full(count, cfg.max_iters)
+    converged = np.zeros(count, dtype=bool)
+    active = np.arange(count)
+    u = np.matvec(mat, w)
+    gain = np.vecdot(w, u).real
+    costs = [-gain] if trace else None
+    for step in range(1, cfg.max_iters + 1):
+        v = u[:, :dim]
+        mod = np.abs(v)
+        np.divide(v, mod, out=w[:, :dim], where=mod > 0)
+        u = np.matvec(mat, w)
+        prev, gain = gain, np.vecdot(w, u).real
+        if trace:
+            row = -gain
+            if active.size < count:  # NaN for problems that have stopped
+                row = np.full(count, np.nan)
+                row[active] = -gain
+            costs.append(row)
+        done = _stopped_each(gain, prev, cfg.tol)
+        if done is not None:
+            finished = active[done]
+            phases[finished] = w[done, :dim]
+            iterations[finished] = step
+            converged[finished] = True
+            keep = ~done
+            active, mat, w, u, gain = (
+                x[keep] for x in (active, mat, w, u, gain))
+            if not active.size:
+                break
+    phases[active] = w[:, :dim]
+    return BatchReport(phases, iterations, converged,
+                       None if costs is None else np.array(costs))
+
+
+def _single(batch: BatchReport) -> SolveReport:
+    """The SolveReport of a one-problem frob_mm run."""
+    iterations = int(batch.iterations[0])
+    return SolveReport(
+        phases=batch.phases[0],
+        cost_trace=batch.cost_trace[:iterations + 1, 0],
+        iterations=iterations,
+        converged=bool(batch.converged[0]),
     )
 
 
@@ -188,7 +290,6 @@ def solve_offline_kl(
         cost_of=lambda w: quad_form(w, h),
         next_of=lambda w: lam * w - h @ w,
         cfg=cfg,
-        momentum=True,
     )
     report.phases = anchor_reference(report.phases)
     return report
@@ -198,17 +299,12 @@ def solve_offline_frob(sigma: np.ndarray, cfg: MMConfig = MMConfig()) -> SolveRe
     """Full-stack MM under the least-squares objective -2wᴴ(Ψ∘Σ)w.
 
     The concave quadratic form is majorized by its linearization, giving
-    w⁺ = Φ(H w) with H = 2(Ψ∘Σ). Output is anchored to the first date.
+    w⁺ = Φ(H w) with H = 2(Ψ∘Σ); this is frob_mm on one problem. Output is
+    anchored to the first date.
     """
     sigma = np.asarray(sigma)
     h = 2.0 * hadamard(abs_entrywise(sigma), sigma)
-    w0 = cfg.start_vector(sigma.shape[0])
-    report = _mm_loop(
-        w0,
-        cost_of=lambda w: -quad_form(w, h),
-        next_of=lambda w: h @ w,
-        cfg=cfg,
-    )
+    report = _single(frob_mm(h[None], 0.0, 0.0, cfg, trace=True))
     report.phases = anchor_reference(report.phases)
     return report
 
@@ -249,8 +345,22 @@ def solve_seq_kl(
         cost_of=cost_of,
         next_of=lambda w: n_vec - (m_mat @ w - lam * w),
         cfg=cfg,
-        momentum=True,
     )
+
+
+def frob_seq_terms(past, cross, new, w_past):
+    """frob_mm's (h, b, const) for the sequential least-squares problem.
+
+    The block objective -2[wᴴ(|Σ_p|∘Σ_p)w + 2Re(w̄ᴴ(|Σ_pn|∘Σ_pn)w)
+    + w̄ᴴ(|Σ_n|∘Σ_n)w̄] in frob_mm's form: h = 2(|Σ_n|∘Σ_n),
+    b = 2(|Σ_pn|∘Σ_pn) w_past and const = -2 wᴴ(|Σ_p|∘Σ_p)w. Blocks may
+    carry a leading stack axis (with w_past (B, p)).
+    """
+    w_past = np.asarray(w_past, dtype=complex)
+    h = 2.0 * hadamard(abs_entrywise(new), new)
+    b = 2.0 * np.matvec(hadamard(abs_entrywise(cross), cross), w_past)
+    past_form = np.matvec(hadamard(abs_entrywise(past), past), w_past)
+    return h, b, -2.0 * np.vecdot(w_past, past_form).real
 
 
 def solve_seq_frob(
@@ -261,23 +371,11 @@ def solve_seq_frob(
     """Estimate the k new phases under the least-squares objective, holding
     the p past phases fixed.
 
-    Iterates w̄⁺ = Φ( (|Σ_pn|∘Σ_pn) w_past + (|Σ_n|∘Σ_n) w̄ ); no matrix
-    inversion or eigenvalue is needed. The output is not re-anchored.
+    Iterates w̄⁺ = Φ( (|Σ_pn|∘Σ_pn) w_past + (|Σ_n|∘Σ_n) w̄ ) through
+    frob_mm; no matrix inversion or eigenvalue is needed. The reported cost
+    is the block objective including its constant past term. The output is
+    not re-anchored.
     """
-    w_past = np.asarray(w_past, dtype=complex)
-    cross_mat = hadamard(abs_entrywise(blocks.cross), blocks.cross)
-    new_mat = hadamard(abs_entrywise(blocks.new), blocks.new)
-    b_vec = cross_mat @ w_past
-    const_past = quad_form(w_past, hadamard(abs_entrywise(blocks.past), blocks.past))
-
-    def cost_of(w_new):
-        cross_term = 2.0 * float(np.real(w_new.conj() @ b_vec))
-        return -2.0 * (const_past + cross_term + quad_form(w_new, new_mat))
-
-    w0 = cfg.start_vector(blocks.k)
-    return _mm_loop(
-        w0,
-        cost_of=cost_of,
-        next_of=lambda w: b_vec + new_mat @ w,
-        cfg=cfg,
-    )
+    h, b, const = frob_seq_terms(blocks.past, blocks.cross, blocks.new, w_past)
+    return _single(frob_mm(h[None], b[None], np.atleast_1d(const), cfg,
+                           trace=True))

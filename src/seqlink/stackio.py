@@ -10,6 +10,7 @@ then row-major. Writing and re-reading reproduces entries bit-exactly.
 from __future__ import annotations
 
 import struct
+from array import array
 from datetime import datetime, timezone
 
 import numpy as np
@@ -105,15 +106,17 @@ def read_truth_csv(path) -> np.ndarray:
 
 
 def write_phase_raster_csv(path, raster: PhaseRaster) -> None:
-    """One line per pixel: row, col, then the per-date angles (nan = failed)."""
+    """One line per pixel: row, col, then the per-date angles (nan = failed).
+
+    Angles are written with repr, so they read back bit-exactly.
+    """
     header = "row,col," + ",".join(f"angle_{i}" for i in range(raster.count))
-    lines = [header]
-    for row in range(raster.height):
-        for col in range(raster.width):
-            angles = ",".join(repr(float(a)) for a in raster.data[:, row, col])
-            lines.append(f"{row},{col},{angles}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for row in range(raster.height):
+            angles = raster.data[:, row].T.tolist()
+            fh.write("".join(f"{row},{col},{','.join(map(repr, values))}\n"
+                             for col, values in enumerate(angles)))
 
 
 def write_phase_raster_binary(path, raster: PhaseRaster) -> None:
@@ -133,26 +136,30 @@ def read_phase_raster(path) -> PhaseRaster:
         stack = read_stack(path)
         data = np.angle(stack.data)
         return PhaseRaster(data, failed=np.isnan(data).any(axis=0))
+    cells = array("d")
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or not lines[0].startswith("row,col,angle_0"):
-        raise ValueError(f"{path}: not a phase raster file")
-    count = len(lines[0].split(",")) - 2
-    cells = {}
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != count + 2:
-            raise ValueError(f"{path}: malformed raster line {line!r}")
-        cells[(int(parts[0]), int(parts[1]))] = [float(v) for v in parts[2:]]
+        header = next((line.strip() for line in fh if line.strip()), "")
+        if not header.startswith("row,col,angle_0"):
+            raise ValueError(f"{path}: not a phase raster file")
+        width = header.count(",") + 1
+        for line in fh:
+            parts = line.strip().split(",")
+            if len(parts) != width:
+                if parts == [""]:
+                    continue
+                raise ValueError(f"{path}: malformed raster line {line.strip()!r}")
+            cells.extend((int(parts[0]), int(parts[1])))
+            cells.extend(map(float, parts[2:]))
     if not cells:
         raise ValueError(f"{path}: raster has no pixels")
-    height = max(r for r, _ in cells) + 1
-    width = max(c for _, c in cells) + 1
-    if len(cells) != height * width:
+    cells = np.frombuffer(cells).reshape(-1, width)
+    rows, cols = cells[:, 0].astype(int), cells[:, 1].astype(int)
+    height, width = rows.max() + 1, cols.max() + 1
+    if (min(rows.min(), cols.min()) < 0
+            or np.unique(rows * width + cols).size != height * width):
         raise ValueError(f"{path}: raster grid has missing pixels")
-    data = np.empty((count, height, width))
-    for (row, col), angles in cells.items():
-        data[:, row, col] = angles
+    data = np.empty((cells.shape[1] - 2, height, width))
+    data[:, rows, cols] = cells[:, 2:].T
     return PhaseRaster(data, failed=np.isnan(data).any(axis=0))
 
 

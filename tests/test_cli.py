@@ -2,13 +2,23 @@
 
 Exit-code contract: 0 success, 1 runtime failure, 2 usage/validation error.
 """
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seqlink import read_manifest, read_phase_raster, read_stack
+from seqlink import (
+    ImageStack,
+    read_manifest,
+    read_phase_raster,
+    read_stack,
+    write_stack,
+)
+
+REPO = Path(__file__).resolve().parents[1]
 
 SIM_CFG = """
 l = 6
@@ -110,6 +120,7 @@ def test_offline_solve_reports_small_error_on_noiseless_scene(scene):
     record = read_manifest(scene / "offline.csv.manifest.txt")
     assert float(record["error.max_interior"]) < 1e-5
     assert record["pixels.nonconverged"] == "0"
+    assert 1 <= float(record["iterations.p50"]) <= int(record["iterations.max"])
     raster = read_phase_raster(out)
     assert raster.count == 6
 
@@ -156,10 +167,35 @@ def test_solve_flags_pixels_that_run_out_of_iterations(tmp_path):
     record = read_manifest(tmp_path / "noisy.csv.manifest.txt")
     count = int(record["pixels.nonconverged"])
     assert count > 0
+    assert record["iterations.p50"] == "1.0"
+    assert record["iterations.max"] == "1"
     assert f"{count} did not converge" in result.stderr
     # unconverged phases are still written, not turned into failures
     assert record["pixels.failed"] == "0"
     assert not np.isnan(read_phase_raster(out).data).any()
+
+
+def test_solve_reports_no_iterations_when_every_pixel_fails(tmp_path):
+    stack = tmp_path / "zero.slk"
+    write_stack(stack, ImageStack(np.zeros((3, 4, 4), dtype=complex)))
+    result = run_cli("solve", stack, "--window", 2, "--out", tmp_path / "z.csv")
+    assert result.returncode == 0, result.stderr
+    record = read_manifest(tmp_path / "z.csv.manifest.txt")
+    assert record["pixels.failed"] == "16"
+    assert record["iterations.p50"] == record["iterations.max"] == "nan"
+
+
+@pytest.mark.parametrize("distance", ["kl", "frob"])
+def test_raster_demo_script_runs_end_to_end(tmp_path, distance):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_raster_demo.py"),
+         "--out-dir", str(tmp_path), "--distance", distance],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    for name in ("demo.slk.past.phases.csv", "demo.slk.new.phases.csv"):
+        record = read_manifest(tmp_path / f"{name}.manifest.txt")
+        assert float(record["error.max_interior"]) < 1e-5
 
 
 def test_binary_raster_output_round_trips(scene):

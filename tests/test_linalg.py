@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from seqlink import (
     BlockCov,
-    NonConvergence,
     NotPositiveDefinite,
     abs_entrywise,
     assemble_block_inverse,

@@ -14,6 +14,7 @@ from seqlink.plugins import (
     taper,
     taper_mask,
     unit_phasors,
+    window_estimates,
 )
 
 
@@ -240,3 +241,62 @@ def test_estimator_outputs_are_psd():
         for build in (scm, phase_only):
             eigs = np.linalg.eigvalsh(build(stack))
             assert eigs[0] >= -1e-10 * max(eigs[-1], 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# window_estimates: every window's plug-in of a raster row at once
+
+
+def sliding_oracle(data, row, col, win, spec):
+    """estimate() on the clipped window's samples, gathered pixel by pixel."""
+    _, height, width = data.shape
+    rows = [r for r in range(height) if 0 <= r - (row - win // 2) < win]
+    cols = [c for c in range(width) if 0 <= c - (col - win // 2) < win]
+    samples = np.array([data[:, r, c] for r in rows for c in cols])
+    return estimate(samples, spec)
+
+
+WINDOW_SPECS = [PluginSpec(est, reg, beta=0.7, bandwidth=2)
+                for est in ("scm", "po") for reg in ("none", "shrink", "taper")]
+
+
+@pytest.mark.parametrize("spec", WINDOW_SPECS, ids=lambda s: "-".join(s.label()))
+@pytest.mark.parametrize("win", [1, 3, 4, 16])
+def test_window_estimates_match_per_window_estimate(spec, win):
+    rng = np.random.default_rng(36)
+    l, height, width = 5, 6, 7
+    data = random_stack(rng, height * width, l).T.reshape(l, height, width)
+    data *= rng.uniform(0.1, 3.0, size=(1, height, width))  # uneven amplitudes
+    for row in range(height):
+        out = window_estimates(data, row, win, spec)
+        assert out.shape == (width, l, l)
+        for col in range(width):
+            oracle = sliding_oracle(data, row, col, win, spec)
+            gap = np.max(np.abs(out[col] - oracle))
+            assert gap <= 1e-12 * np.max(np.abs(oracle)), (row, col)
+
+
+def test_window_estimates_one_sample_window_is_the_outer_product_bit_for_bit():
+    rng = np.random.default_rng(38)
+    data = random_stack(rng, 6, 4).T.reshape(4, 2, 3)
+    for row in range(2):
+        out = window_estimates(data, row, 1, PluginSpec())
+        for col in range(3):
+            assert np.array_equal(out[col],
+                                  estimate(data[:, row, col][None, :], PluginSpec()))
+
+
+def test_window_estimates_reject_empty_window():
+    with pytest.raises(ValueError):
+        window_estimates(np.ones((2, 3, 3), dtype=complex), 0, 0,
+                         PluginSpec())
+
+
+def test_regularizers_broadcast_over_a_stack():
+    rng = np.random.default_rng(39)
+    stack = np.array([scm(random_stack(rng, 9, 6)) for _ in range(4)])
+    shrunk = shrink_to_identity(stack, 0.6)
+    tapered = taper(stack, 2)
+    for i, sigma in enumerate(stack):
+        assert np.array_equal(shrunk[i], shrink_to_identity(sigma, 0.6))
+        assert np.array_equal(tapered[i], taper(sigma, 2))

@@ -7,6 +7,7 @@ import scipy.linalg
 
 from seqlink import (
     ImageStack,
+    SeqlinkError,
     MMConfig,
     PhaseRaster,
     PluginSpec,
@@ -16,12 +17,16 @@ from seqlink import (
     interferogram,
     linear_phase_ramp,
     noiseless_raster,
+    partition,
     process_stack_offline,
     process_stack_sequential,
     sliding_window_extract,
     solve_offline_frob,
+    solve_offline_kl,
+    solve_seq_frob,
     toeplitz_coherence,
     window_area,
+    window_estimates,
     wrap_angle,
 )
 
@@ -89,10 +94,14 @@ def test_phase_raster_validation_and_default_masks():
     assert not raster.failed.any()
     assert raster.nonconverged.shape == (4, 6)
     assert not raster.nonconverged.any()
+    assert raster.iterations.shape == (4, 6)
+    assert raster.iterations.dtype.kind == "i" and not raster.iterations.any()
     with pytest.raises(ValueError):
         PhaseRaster(np.zeros((2, 4, 6)), undersampled=np.zeros((3, 6), dtype=bool))
     with pytest.raises(ValueError):
         PhaseRaster(np.zeros((2, 4, 6)), nonconverged=np.zeros((4, 5), dtype=bool))
+    with pytest.raises(ValueError):
+        PhaseRaster(np.zeros((2, 4, 6)), iterations=np.zeros((6, 4), dtype=int))
 
 
 def test_window_extract_single_pixel():
@@ -197,6 +206,112 @@ def test_offline_raster_thread_count_does_not_change_output():
     assert np.array_equal(one.nonconverged, four.nonconverged)
 
 
+def random_image_stack(seed, l, height, width):
+    rng = np.random.default_rng(seed)
+    shape = (l, height, width)
+    return ImageStack(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("distance", ["kl", "frob"])
+def test_offline_raster_pixels_are_single_solves_of_their_plugins(distance):
+    """Each pixel's phases and iteration count are exactly those of the
+    single-pixel solver on that pixel's window plug-in, also next to
+    skipped (all-zero) windows."""
+    stack = random_image_stack(98, 4, 5, 6)
+    stack.data[:, 2:, :2] = 0.0
+    spec, cfg = PluginSpec("po"), MMConfig(max_iters=60, tol=1e-10)
+    raster = process_stack_offline(stack, spec, distance, 3, cfg)
+    sigma = [window_estimates(stack.data, row, 3, spec) for row in range(5)]
+    solve = solve_offline_kl if distance == "kl" else solve_offline_frob
+    for row in range(5):
+        for col in range(6):
+            if not np.any(sliding_window_extract(stack, row, col, 3)):
+                assert raster.failed[row, col]
+                continue
+            try:
+                report = solve(sigma[row][col], cfg)
+            except SeqlinkError:  # |Σ| of a small window need not invert
+                assert raster.failed[row, col]
+                continue
+            assert not raster.failed[row, col]
+            assert np.array_equal(raster.data[:, row, col],
+                                  np.angle(report.phases))
+            assert raster.iterations[row, col] == report.iterations
+            assert raster.nonconverged[row, col] == (not report.converged)
+    assert (raster.iterations[~raster.failed] >= 1).all()
+    assert 2 <= raster.failed.sum() <= 8
+
+
+def test_sequential_frob_raster_pixels_are_single_solves_of_their_plugins():
+    p, k = 4, 2
+    full = random_image_stack(99, p + k, 5, 4)
+    full.data[:, :3, 2:] = 0.0
+    past, new = ImageStack(full.data[:p]), ImageStack(full.data[p:])
+    cfg = MMConfig(max_iters=80, tol=1e-10)
+    past_raster = process_stack_offline(past, PluginSpec(), "frob", 3, cfg)
+    raster = process_stack_sequential(new, past_raster, past, PluginSpec(),
+                                      "frob", 3, cfg)
+    sigma = [window_estimates(full.data, row, 3, PluginSpec()) for row in range(5)]
+    assert raster.failed[:2, 3].all() and raster.failed.sum() == 2
+    for row in range(5):
+        for col in range(4):
+            if raster.failed[row, col]:
+                continue
+            w_past = np.exp(1j * past_raster.data[:, row, col])
+            report = solve_seq_frob(partition(sigma[row][col], p), w_past, cfg)
+            assert np.array_equal(raster.data[:, row, col],
+                                  np.angle(report.phases))
+            assert raster.iterations[row, col] == report.iterations
+
+
+def assert_same_raster(a, b):
+    assert np.array_equal(a.data, b.data, equal_nan=True)
+    for name in ("undersampled", "failed", "nonconverged", "iterations"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("distance", ["kl", "frob"])
+def test_raster_output_does_not_depend_on_threads(distance):
+    p, k, win = 4, 2, 4
+    full = random_image_stack(100, p + k, 7, 5)
+    full.data[:, 4:, :3] = 0.0  # an empty corner: failed pixels in some rows
+    past, new = ImageStack(full.data[:p]), ImageStack(full.data[p:])
+    cfg = MMConfig(max_iters=15, tol=1e-12)
+    spec = PluginSpec("po", "shrink", beta=0.8)
+    runs = []
+    for threads in (1, 2, 3):
+        offline = process_stack_offline(past, spec, distance, win, cfg, threads)
+        seq = process_stack_sequential(new, offline, past, spec, distance, win,
+                                       cfg, threads)
+        runs.append((offline, seq))
+    assert runs[0][0].failed.any() and runs[0][1].nonconverged.any()
+    for offline, seq in runs[1:]:
+        assert_same_raster(offline, runs[0][0])
+        assert_same_raster(seq, runs[0][1])
+
+
+@pytest.mark.parametrize("win", [1, 2, 3])
+def test_raster_masks_match_window_enumeration(win):
+    """failed (frob never fails otherwise) marks exactly the windows whose
+    samples are all zero; undersampled the windows holding fewer than l."""
+    stack = random_image_stack(101, 3, 6, 7)
+    stack.data[:, 1:3, 1:4] = 0.0
+    stack.data[:, 5, 6] = 0.0
+    stack.data[0, 4, 0] = 0.0  # one zero entry does not empty a pixel
+    stack.data[:, 4, 0] = 0.0
+    stack.data[1, 4, 0] = 1e-300
+    raster = process_stack_offline(stack, PluginSpec(), "frob", win,
+                                   MMConfig(max_iters=5))
+    for row in range(6):
+        for col in range(7):
+            samples = sliding_window_extract(stack, row, col, win)
+            assert raster.failed[row, col] == (not np.any(samples))
+            assert raster.undersampled[row, col] == (samples.shape[0] < 3)
+            assert np.isnan(raster.data[:, row, col]).all() == raster.failed[row, col]
+            assert (raster.iterations[row, col] == 0) == raster.failed[row, col]
+    assert raster.failed.any() == (win < 3)
+
+
 def test_offline_raster_validates_distance_and_depth():
     stack = ImageStack(np.ones((2, 3, 3), dtype=complex))
     with pytest.raises(ValueError):
@@ -281,6 +396,23 @@ def test_sequential_propagates_failed_past_pixels():
     assert seq.failed[3, 3]
     assert np.isnan(seq.data[:, 3, 3]).all()
     assert not seq.failed[5, 5]
+
+
+@pytest.mark.parametrize("distance", ["kl", "frob"])
+def test_sequential_raster_masks_zero_region(distance):
+    l, p, win = 6, 4, 3
+    full = noiseless_raster(truth_cov(l), win, 9, 9)
+    past = ImageStack(full.data[:p])
+    past_raster = process_stack_offline(past, PluginSpec(), distance, win, TIGHT)
+    zeroed = full.data.copy()
+    zeroed[:, 6:, 6:] = 0.0
+    seq = process_stack_sequential(ImageStack(zeroed[p:]), past_raster,
+                                   ImageStack(zeroed[:p]), PluginSpec(),
+                                   distance, win, TIGHT)
+    assert seq.failed[7:, 7:].all()
+    assert np.isnan(seq.data[:, 8, 8]).all()
+    assert not seq.failed[:5, :5].any()
+    assert (seq.iterations[:5, :5] > 0).all()
 
 
 def test_sequential_thread_count_does_not_change_output():

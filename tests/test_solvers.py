@@ -12,6 +12,7 @@ from seqlink import (
     anchor_reference,
     estimate,
     frob_cost_block,
+    frob_mm,
     ground_truth,
     kl_cost_block,
     kl_cost_full,
@@ -28,6 +29,7 @@ from seqlink import (
     solve_seq_kl,
 )
 from seqlink.bench import BENCH_SOLVER
+from seqlink.solvers import frob_seq_terms
 
 
 def random_torus(rng, dim):
@@ -452,3 +454,86 @@ def test_fast_kl_iteration_counts_stay_low():
     # plain MM from all-ones takes medians of about 4700 and 650 here
     assert np.median(offline_iters) <= 300
     assert np.median(seq_iters) <= 200
+
+
+# ---------------------------------------------------------------------------
+# frob_mm: the stacked least-squares kernel
+
+
+def frob_problems(rng, count, k=6, p=5):
+    """A mix of offline (b = 0) and sequential least-squares problems with
+    one shared size, including a decoupled (all-zero) coordinate."""
+    hs, bs, consts = [], [], []
+    for i in range(count):
+        sigma = estimate(random_stack(rng, 3 * (k + p), k + p),
+                         PluginSpec("po" if i % 2 else "scm"))
+        if i % 3 == 0:
+            sigma = sigma[:k, :k].copy()
+            if i == 3:
+                sigma[2, :] = sigma[:, 2] = 0.0
+            hs.append(2.0 * abs_entrywise(sigma) * sigma)
+            bs.append(np.zeros(k))
+            consts.append(0.0)
+        else:
+            blocks = partition(sigma, p)
+            h, b, const = frob_seq_terms(blocks.past, blocks.cross, blocks.new,
+                                         random_torus(rng, p))
+            hs.append(h)
+            bs.append(b)
+            consts.append(const)
+    return np.array(hs), np.array(bs), np.array(consts)
+
+
+def test_frob_mm_result_does_not_depend_on_the_batch():
+    rng = np.random.default_rng(80)
+    h, b, const = frob_problems(rng, 12)
+    # a budget that some problems exhaust and others do not
+    cfg = MMConfig(max_iters=300, tol=1e-8)
+    alone = [frob_mm(h[i:i + 1], b[i:i + 1], const[i:i + 1], cfg, trace=True)
+             for i in range(12)]
+    assert len({int(a.iterations[0]) for a in alone}) > 3
+    assert {bool(a.converged[0]) for a in alone} == {True, False}
+    batches = [np.arange(12), np.arange(12)[::-1], rng.permutation(12)[:5],
+               np.array([3, 3, 7]), rng.permutation(12)[:2]]
+    for members in batches:
+        batch = frob_mm(h[members], b[members], const[members], cfg,
+                        trace=True)
+        for j, i in enumerate(members):
+            assert np.array_equal(batch.phases[j], alone[i].phases[0])
+            assert batch.iterations[j] == alone[i].iterations[0]
+            assert batch.converged[j] == alone[i].converged[0]
+            steps = alone[i].iterations[0] + 1
+            assert np.array_equal(batch.cost_trace[:steps, j],
+                                  alone[i].cost_trace[:, 0])
+            assert np.isnan(batch.cost_trace[steps:, j]).all()
+
+
+def test_frob_mm_cost_trace_never_rises_and_is_the_objective():
+    rng = np.random.default_rng(81)
+    worst = -np.inf
+    for _ in range(20):
+        k, p = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+        sigmas = [scm(random_stack(rng, 2 * (k + p), k + p)) for _ in range(6)]
+        w_past = np.array([random_torus(rng, p) for _ in sigmas])
+        blocks = [partition(s, p) for s in sigmas]
+        h, b, const = frob_seq_terms(
+            np.array([bl.past for bl in blocks]),
+            np.array([bl.cross for bl in blocks]),
+            np.array([bl.new for bl in blocks]), w_past)
+        cfg = MMConfig(max_iters=40, tol=0.0, init=random_torus(rng, k))
+        batch = frob_mm(h, b, const, cfg, trace=True)
+        for j, bl in enumerate(blocks):
+            trace = batch.cost_trace[:, j]
+            worst = max(worst, float(np.max(np.diff(trace)) / abs(trace[0])))
+            final = frob_cost_block(w_past[j], batch.phases[j], bl)
+            assert abs(trace[-1] - final) <= 1e-12 * abs(final)
+    assert worst <= 1e-9
+
+
+def test_frob_mm_keeps_the_previous_iterate_on_zero_coefficients():
+    h = np.zeros((2, 3, 3), dtype=complex)
+    h[:, :2, :2] = [[2.0, 1.0], [1.0, 2.0]]
+    start = np.exp(1j * np.array([0.3, -0.2, 1.1]))
+    batch = frob_mm(h, 0.0, 0.0, MMConfig(max_iters=50, tol=1e-14, init=start))
+    assert np.array_equal(batch.phases[:, 2], np.full(2, start[2]))
+    assert batch.converged.all()

@@ -189,6 +189,43 @@ def test_raster_csv_round_trip_with_failed_pixel(tmp_path):
     assert np.array_equal(back.failed, raster.failed)
 
 
+def test_raster_csv_bytes_match_per_value_repr_formatting(tmp_path):
+    """The writer's bytes equal those of formatting each angle on its own
+    with repr(float(a)), special values included."""
+    rng = np.random.default_rng(6)
+    data = rng.uniform(-np.pi, np.pi, size=(5, 4, 3))
+    data[:, 0, 0] = [np.nan, -0.0, 0.0, np.pi, -np.pi]
+    data[:, 2, 1] = [5e-324, -2.2250738585072014e-309, 1e-300,
+                     np.nextafter(np.pi, 0), np.nan]
+    data[:, 3, 2] = np.nan
+    raster = PhaseRaster(data)
+    path = tmp_path / "phases.csv"
+    write_phase_raster_csv(path, raster)
+    lines = ["row,col," + ",".join(f"angle_{i}" for i in range(5))]
+    for row in range(4):
+        for col in range(3):
+            angles = ",".join(repr(float(a)) for a in data[:, row, col])
+            lines.append(f"{row},{col},{angles}")
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    back = read_phase_raster(path)
+    assert np.array_equal(back.data, data, equal_nan=True)
+    assert np.array_equal(np.signbit(back.data), np.signbit(data))
+
+
+def test_read_phase_raster_skips_blank_lines_and_rejects_ragged_ones(tmp_path):
+    raster = example_raster()
+    path = tmp_path / "phases.csv"
+    write_phase_raster_csv(path, raster)
+    text = path.read_text()
+    path.write_text("\n" + text.replace("\n", "\n\n", 3))
+    assert np.array_equal(read_phase_raster(path).data, raster.data,
+                          equal_nan=True)
+    lines = text.splitlines()
+    path.write_text("\n".join(lines[:2] + [lines[2] + ",0.5"] + lines[3:]))
+    with pytest.raises(ValueError, match="malformed"):
+        read_phase_raster(path)
+
+
 def test_raster_csv_header_names_every_date(tmp_path):
     path = tmp_path / "phases.csv"
     write_phase_raster_csv(path, example_raster())
