@@ -9,7 +9,6 @@ results do not depend on worker count or scheduling order.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,10 +16,14 @@ import numpy as np
 from .errors import SeqlinkError
 from .linalg import abs_entrywise, partition, schur_factors
 from .plugins import PluginSpec, estimate, scm
+from .raster import _run_rows
 from .simulate import SimulationConfig, ground_truth, sample_stack
-from .solvers import (
+# solve_offline_frob and solve_offline_kl are not called here; they stay
+# importable from this module because perfbench/spans.py wraps them here
+from .solvers import (  # noqa: F401
     DISTANCES,
     MMConfig,
+    fit,
     solve_offline_frob,
     solve_offline_kl,
     solve_seq_frob,
@@ -129,18 +132,15 @@ def phase_diff_error(
     return float(np.angle(hat * np.conj(true)) ** 2)
 
 
-def _solve_offline(sigma, distance, cfg):
-    if distance == "kl":
-        return solve_offline_kl(sigma, cfg)
-    return solve_offline_frob(sigma, cfg)
-
-
-def _solve_sequential(sigma, p, w_past, distance, cfg):
-    blocks = partition(sigma, p)
-    if distance == "kl":
-        factors = schur_factors(abs_entrywise(sigma), p, sigma_new=blocks.new)
-        return solve_seq_kl(blocks, factors, w_past, cfg)
-    return solve_seq_frob(blocks, w_past, cfg)
+def _fit(cfg, sigma, w_past=None):
+    """The phases of one plug-in (see solvers.fit); raises SeqlinkError if
+    its solve failed, so the trial is excluded. sigma is copied, since fit
+    may overwrite it and injected truth blocks are views of the truth."""
+    batch = fit(np.array(sigma)[None], cfg.solver, cfg.distance,
+                None if w_past is None else w_past[None])
+    if np.isnan(batch.phases).any():
+        raise SeqlinkError("solve failed")
+    return batch.phases[0]
 
 
 def _plugin_or_truth(cfg, stack, sigma_true, dates):
@@ -159,15 +159,11 @@ def _estimate_full_trial(cfg, sigma_true, n, trial):
         stack = sample_stack(sigma_true, replace(cfg.sim, n=n), seed)
     l = cfg.sim.l
     if cfg.mode == "offline":
-        sigma_hat = _plugin_or_truth(cfg, stack, sigma_true, l)
-        return _solve_offline(sigma_hat, cfg.distance, cfg.solver).phases
-    p = cfg.sim.p
+        return _fit(cfg, _plugin_or_truth(cfg, stack, sigma_true, l))
     # the past fit only ever saw the past dates' samples
-    sigma_past = _plugin_or_truth(cfg, stack, sigma_true, p)
-    w_past = _solve_offline(sigma_past, cfg.distance, cfg.solver).phases
+    w_past = _fit(cfg, _plugin_or_truth(cfg, stack, sigma_true, cfg.sim.p))
     sigma_hat = _plugin_or_truth(cfg, stack, sigma_true, l)
-    report = _solve_sequential(sigma_hat, p, w_past, cfg.distance, cfg.solver)
-    return np.concatenate([w_past, report.phases])
+    return np.concatenate([w_past, _fit(cfg, sigma_hat, w_past)])
 
 
 def trial_errors(cfg: ExperimentConfig, n: int, threads: int = 1) -> np.ndarray:
@@ -185,17 +181,8 @@ def trial_errors(cfg: ExperimentConfig, n: int, threads: int = 1) -> np.ndarray:
             return
         errors[trial] = phase_diff_error(theta_hat, w_true, 0, cfg.sim.l - 1)
 
-    _run_trials(cfg.trials, worker, threads)
+    _run_rows(cfg.trials, worker, threads)
     return errors
-
-
-def _run_trials(trials: int, worker, threads: int) -> None:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(worker, range(trials)))
-    else:
-        for trial in range(trials):
-            worker(trial)
 
 
 def _aggregate(cfg: ExperimentConfig, mode_label: str, n: int,
@@ -228,13 +215,10 @@ def mc_mse_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[MseRow]:
 def _chain_blocks(cfg, sigma_true, stack, sizes):
     """Offline fit of the first block, then sequential fits block by block."""
     bound = sizes[0]
-    sigma_first = _plugin_or_truth(cfg, stack, sigma_true, bound)
-    w_acc = _solve_offline(sigma_first, cfg.distance, cfg.solver).phases
+    w_acc = _fit(cfg, _plugin_or_truth(cfg, stack, sigma_true, bound))
     for k in sizes[1:]:
         sigma_hat = _plugin_or_truth(cfg, stack, sigma_true, bound + k)
-        report = _solve_sequential(sigma_hat, bound, w_acc,
-                                   cfg.distance, cfg.solver)
-        w_acc = np.concatenate([w_acc, report.phases])
+        w_acc = np.concatenate([w_acc, _fit(cfg, sigma_hat, w_acc)])
         bound += k
     return w_acc
 
@@ -273,17 +257,14 @@ def multiblock_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[MseRo
                 stack = sample_stack(sigma_true, replace(cfg.sim, n=n), seed)
             try:
                 sigma_hat = _plugin_or_truth(cfg, stack, sigma_true, l)
-                offline = _solve_offline(sigma_hat, cfg.distance, cfg.solver)
                 errors["offline"][trial] = _final_block_error(
-                    offline.phases, w_true, first_final)
+                    _fit(cfg, sigma_hat), w_true, first_final)
 
-                sigma_past = _plugin_or_truth(cfg, stack, sigma_true, p_last)
-                w_past = _solve_offline(sigma_past, cfg.distance,
-                                        cfg.solver).phases
-                seq = _solve_sequential(sigma_hat, p_last, w_past,
-                                        cfg.distance, cfg.solver)
+                w_past = _fit(cfg, _plugin_or_truth(cfg, stack, sigma_true,
+                                                    p_last))
                 errors["sequential"][trial] = _final_block_error(
-                    np.concatenate([w_past, seq.phases]), w_true, first_final)
+                    np.concatenate([w_past, _fit(cfg, sigma_hat, w_past)]),
+                    w_true, first_final)
 
                 chained = _chain_blocks(cfg, sigma_true, stack, sizes)
                 errors["chained"][trial] = _final_block_error(
@@ -292,7 +273,7 @@ def multiblock_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[MseRo
                 for arm in MULTIBLOCK_ARMS:
                     errors[arm][trial] = np.nan
 
-        _run_trials(cfg.trials, worker, threads)
+        _run_rows(cfg.trials, worker, threads)
         for arm in MULTIBLOCK_ARMS:
             rows.append(_aggregate(cfg, arm, n, errors[arm]))
     return rows
@@ -340,7 +321,8 @@ def timing_experiment(
             return solve_seq_frob(blocks, w_past, cfg)
 
     def run_offline():
-        return _solve_offline(sigma_hat, distance, cfg)
+        # fit may overwrite its input
+        return fit(sigma_hat[None].copy(), cfg, distance)
 
     run_seq()  # warm caches (lazy factor products, BLAS paths)
     run_offline()

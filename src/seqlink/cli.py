@@ -205,18 +205,25 @@ def cmd_bench(args) -> int:
 TIMING_HEADER = "p,k,distance,seq_ms,offline_ms,ratio"
 
 
+def int_list(text: str) -> list[int]:
+    return [int(token) for token in text.split(",")]
+
+
 def cmd_timing(args) -> int:
-    result = timing_experiment(args.p, args.k, args.distance, args.reps)
-    ratio = result["seq_ms"] / result["offline_ms"]
-    line = (f"{args.p},{args.k},{args.distance},{result['seq_ms']!r},"
-            f"{result['offline_ms']!r},{ratio!r}")
-    text = f"{TIMING_HEADER}\n{line}\n"
+    lines = [TIMING_HEADER]
+    for p in args.p:
+        result = timing_experiment(p, args.k, args.distance, args.reps)
+        ratio = result["seq_ms"] / result["offline_ms"]
+        lines.append(f"{p},{args.k},{args.distance},{result['seq_ms']!r},"
+                     f"{result['offline_ms']!r},{ratio!r}")
+    text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
         write_manifest(manifest_path_for(args.out), "timing", {
-            "p": args.p, "k": args.k, "distance": args.distance,
+            "p": ",".join(map(str, args.p)), "k": args.k,
+            "distance": args.distance,
             "reps": args.reps, "output.csv": args.out, "status": "ok",
         })
     return 0
@@ -264,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_time = sub.add_parser("timing", help="time one sequential vs offline "
-                                           "solve")
-    p_time.add_argument("--p", type=int, required=True)
+                                           "solve per past length")
+    p_time.add_argument("--p", type=int_list, required=True,
+                        help="past length, or a comma list (one row each)")
     p_time.add_argument("--k", type=int, required=True)
     p_time.add_argument("--distance", choices=DISTANCES, default="kl")
     p_time.add_argument("--reps", type=int, default=7)

@@ -2,8 +2,8 @@
 
 The raster is processed row by row. Each row builds every pixel's
 sliding-window plug-in in one pass (plugins.window_estimates) and solves its
-least-squares pixels together in one stacked MM (solvers.frob_mm); spectral-
-fit pixels run the per-pixel KL solvers on the row's plug-ins. Pixels are
+pixels through solvers.fit: least-squares pixels together in one stacked MM,
+spectral-fit pixels one by one on the row's plug-ins. Pixels are
 independent, so the result is byte-identical for any number of worker
 threads.
 """
@@ -14,19 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SeqlinkError
-from .linalg import abs_entrywise, partition, schur_factors
-# estimate, solve_offline_frob and solve_seq_frob are not called here; they
-# stay importable from this module because perfbench/spans.py wraps them here
+# estimate, schur_factors and the four solve_* functions are not called here;
+# they stay importable from this module because perfbench/spans.py wraps them
+from .linalg import schur_factors  # noqa: F401
 from .plugins import PluginSpec, estimate, window_bounds, window_estimates  # noqa: F401
 from .simulate import noiseless_stack
 from .solvers import (  # noqa: F401
     DISTANCES,
-    BatchReport,
     MMConfig,
-    anchor_reference,
-    frob_mm,
-    frob_seq_terms,
+    fit,
     solve_offline_frob,
     solve_offline_kl,
     solve_seq_frob,
@@ -166,31 +162,17 @@ def _window_masks(data: np.ndarray, win: int, depth: int):
     return np.outer(r1 - r0, c1 - c0) < depth, counts == 0
 
 
-def _per_pixel(count: int, pixels: int, fit) -> BatchReport:
-    """Run fit(i) -> SolveReport for pixels 0..pixels-1; a pixel whose fit
-    raises a solver or linear-algebra error keeps NaN phases."""
-    batch = BatchReport(np.full((pixels, count), np.nan, dtype=complex),
-                        np.zeros(pixels, dtype=int), np.zeros(pixels, dtype=bool))
-    for i in range(pixels):
-        try:
-            report = fit(i)
-        except (SeqlinkError, np.linalg.LinAlgError):
-            continue
-        batch.phases[i] = report.phases
-        batch.iterations[i] = report.iterations
-        batch.converged[i] = report.converged
-    return batch
+def _process(data: np.ndarray, past, win: int, spec: PluginSpec,
+             skip: np.ndarray, cfg: MMConfig, distance: str,
+             threads: int) -> PhaseRaster:
+    """fit every pixel of an (l, height, width) stack, row by row.
 
-
-def _process(data: np.ndarray, count: int, win: int, spec: PluginSpec,
-             skip: np.ndarray, solve, threads: int) -> PhaseRaster:
-    """Run `solve` over the rows of an (l, height, width) stack.
-
-    solve(sigma, row, live) gets the (B, l, l) plug-ins of the row's live
-    pixels (those not in skip) and returns their BatchReport; NaN phases
-    mark a failed pixel.
+    past is None for an offline raster, or the (p, height, width) past
+    angles of a sequential one, whose pixels then hold the last l - p dates.
+    Pixels in skip, with all-zero windows, or whose fit fails are failed.
     """
     l, height, width = data.shape
+    count = l if past is None else l - len(past)
     undersampled, empty = _window_masks(data, win, l)
     failed = skip | empty
     out = np.full((count, height, width), np.nan)
@@ -202,7 +184,8 @@ def _process(data: np.ndarray, count: int, win: int, spec: PluginSpec,
         if not live.any():
             return
         sigma = window_estimates(data, row, win, spec)
-        batch = solve(sigma if live.all() else sigma[live], row, live)
+        w_past = None if past is None else np.exp(1j * past[:, row, live].T)
+        batch = fit(sigma if live.all() else sigma[live], cfg, distance, w_past)
         lost = np.isnan(batch.phases).any(axis=1)
         out[:, row, live] = np.angle(batch.phases).T
         iterations[row, live] = batch.iterations
@@ -230,21 +213,8 @@ def process_stack_offline(
     _check_distance(distance)
     if stack.count < 2:
         raise ValueError("need at least two images to link phases")
-    l = stack.count
-
-    def solve(sigma, row, live):
-        if distance == "kl":
-            return _per_pixel(l, len(sigma),
-                              lambda i: solve_offline_kl(sigma[i], cfg))
-        # H = 2(|Σ|∘Σ) as in solve_offline_frob, built in place
-        sigma *= abs_entrywise(sigma)
-        sigma *= 2.0
-        batch = frob_mm(sigma, 0.0, 0.0, cfg)
-        batch.phases = anchor_reference(batch.phases)
-        return batch
-
     skip = np.zeros((stack.height, stack.width), dtype=bool)
-    return _process(stack.data, l, win, spec, skip, solve, threads)
+    return _process(stack.data, None, win, spec, skip, cfg, distance, threads)
 
 
 def process_stack_sequential(
@@ -273,23 +243,10 @@ def process_stack_sequential(
         raise ValueError(
             f"past raster holds {past_phases.count} phases but past stack has "
             f"{stack_past.count} images")
-    p, k = stack_past.count, stack_new.count
-
-    def solve(sigma, row, live):
-        w_past = np.exp(1j * past_phases.data[:, row, live].T)
-        if distance == "kl":
-            def fit(i):
-                blocks = partition(sigma[i], p)
-                factors = schur_factors(
-                    abs_entrywise(sigma[i]), p, sigma_new=blocks.new)
-                return solve_seq_kl(blocks, factors, w_past[i], cfg)
-            return _per_pixel(k, len(sigma), fit)
-        return frob_mm(*frob_seq_terms(sigma[:, :p, :p], sigma[:, p:, :p],
-                                       sigma[:, p:, p:], w_past), cfg)
-
     skip = past_phases.failed | np.isnan(past_phases.data).any(axis=0)
     combined = np.concatenate([stack_past.data, stack_new.data], axis=0)
-    return _process(combined, k, win, spec, skip, solve, threads)
+    return _process(combined, past_phases.data, win, spec, skip, cfg,
+                    distance, threads)
 
 
 def interferogram(phases: PhaseRaster, i: int, j: int) -> np.ndarray:

@@ -16,7 +16,8 @@ starts from the EMI estimate, the phase of the smallest eigenvector of
 Ψ⁻¹∘Σ (Ansari, De Zan & Bamler, IEEE TGRS 2018). The least-squares solvers
 converge in tens of plain MM steps and take neither; they share one kernel,
 frob_mm, that runs a whole stack of problems (say, every pixel of a raster
-row) at once.
+row) at once. fit runs either objective, offline or sequential, on a stack
+of plug-ins; the raster and the Monte Carlo bench solve through it.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import quad_form
+from .errors import SeqlinkError
 from .linalg import (
     DEFAULT_JITTER,
     BlockCov,
@@ -32,8 +34,11 @@ from .linalg import (
     abs_entrywise,
     hadamard,
     largest_eigenvalue,
+    partition,
     pd_inverse,
+    schur_factors,
 )
+from .plugins import unit_phasors
 
 # the two covariance-fitting objectives: spectral fit and least squares
 DISTANCES = ("kl", "frob")
@@ -80,18 +85,13 @@ class SolveReport:
     converged: bool
 
 
-def phase_project(v: np.ndarray) -> np.ndarray:
-    """Entrywise v/|v| (zero entries map to 1): the torus minimizer of
-    -Re(wᴴv)."""
-    v = np.asarray(v, dtype=complex)
-    mod = np.abs(v)
-    out = np.ones_like(v)
-    np.divide(v, mod, out=out, where=mod > 0)
-    return out
+# the torus minimizer of -Re(wᴴv) is v's entrywise unit phasor
+phase_project = unit_phasors
 
 
 def _project_keep(v: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """phase_project, but zero coefficients keep the previous iterate."""
+    """phase_project, but zero coefficients keep the previous iterate (the
+    monotone-descent rule of the module docstring)."""
     mod = np.abs(v)
     out = previous.copy()
     np.divide(v, mod, out=out, where=mod > 0)
@@ -168,7 +168,7 @@ def _mm_loop(w0, cost_of, next_of, cfg: MMConfig) -> SolveReport:
 
 @dataclass
 class BatchReport:
-    """frob_mm output, one entry per problem of the stack.
+    """frob_mm and fit output, one entry per problem of the stack.
 
     cost_trace, when asked for, is (steps + 1, B): row t holds each
     problem's cost after t steps, NaN once that problem has stopped.
@@ -379,3 +379,48 @@ def solve_seq_frob(
     h, b, const = frob_seq_terms(blocks.past, blocks.cross, blocks.new, w_past)
     return _single(frob_mm(h[None], b[None], np.atleast_1d(const), cfg,
                            trace=True))
+
+
+def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
+    """The phases of a (B, l, l) stack of plug-ins under one objective.
+
+    With w_past None the fit is offline: phases are (B, l), anchored to the
+    first date. With w_past (B, p) it is sequential over the last k = l - p
+    dates given those past phases: phases are (B, k), not re-anchored.
+    Least-squares problems run together in one frob_mm call; spectral-fit
+    problems run solve_offline_kl, or the Schur factors of |Σ| and
+    solve_seq_kl, one by one. A problem whose solve raises a solver or
+    linear-algebra error gets NaN phases, 0 iterations and converged False;
+    the others are unaffected. May overwrite sigma.
+    """
+    if distance not in DISTANCES:
+        raise ValueError(f"unknown distance {distance!r}; choose from {DISTANCES}")
+    p = 0 if w_past is None else np.shape(w_past)[-1]
+    if distance == "frob":
+        if w_past is not None:
+            return frob_mm(*frob_seq_terms(sigma[:, :p, :p], sigma[:, p:, :p],
+                                           sigma[:, p:, p:], w_past), cfg)
+        # H = 2(|Σ|∘Σ) as in solve_offline_frob, built in place
+        sigma *= abs_entrywise(sigma)
+        sigma *= 2.0
+        batch = frob_mm(sigma, 0.0, 0.0, cfg)
+        batch.phases = anchor_reference(batch.phases)
+        return batch
+    count = len(sigma)
+    batch = BatchReport(np.full((count, sigma.shape[-1] - p), np.nan, dtype=complex),
+                        np.zeros(count, dtype=int), np.zeros(count, dtype=bool))
+    for i in range(count):
+        try:
+            if w_past is not None:
+                blocks = partition(sigma[i], p)
+                factors = schur_factors(abs_entrywise(sigma[i]), p,
+                                        sigma_new=blocks.new)
+                report = solve_seq_kl(blocks, factors, w_past[i], cfg)
+            else:
+                report = solve_offline_kl(sigma[i], cfg)
+        except (SeqlinkError, np.linalg.LinAlgError):
+            continue
+        batch.phases[i] = report.phases
+        batch.iterations[i] = report.iterations
+        batch.converged[i] = report.converged
+    return batch

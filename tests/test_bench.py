@@ -3,6 +3,7 @@ truth-injection exactness, multiblock arms, and CSV emission."""
 import numpy as np
 import pytest
 
+import seqlink.bench
 from seqlink import (
     CSV_HEADER,
     ExperimentConfig,
@@ -211,6 +212,33 @@ def test_multiblock_runs_with_swapped_sizes():
     for row in rows:
         assert np.isfinite(row.mse)
         assert row.mse >= 0.0
+
+
+def test_multiblock_failed_chained_step_excludes_the_trial_from_every_arm(
+        monkeypatch):
+    cfg = small_cfg(sim=SimulationConfig(l=8, p=6, k=2, rho=0.9, n=32),
+                    mode="multiblock", sizes=(4, 2, 2), trials=4,
+                    n_grid=(32,), distance="frob")
+    assert all(row.excluded == 0 for row in multiblock_experiment(cfg))
+    fit = seqlink.bench.fit
+    chained_steps = []
+
+    def failing_fit(sigma, solver, distance, w_past=None):
+        batch = fit(sigma, solver, distance, w_past)
+        # only the chained arm fits new dates given the first block's 4
+        if w_past is not None and w_past.shape[-1] == 4:
+            chained_steps.append(len(chained_steps))
+            if len(chained_steps) == 3:  # trial 2, as trials run in order
+                batch.phases[:] = np.nan
+                batch.iterations[:] = 0
+                batch.converged[:] = False
+        return batch
+
+    monkeypatch.setattr(seqlink.bench, "fit", failing_fit)
+    rows = multiblock_experiment(cfg)
+    assert len(chained_steps) == cfg.trials
+    assert [(row.mode, row.excluded) for row in rows] == [
+        (arm, 1) for arm in MULTIBLOCK_ARMS]
 
 
 def test_multiblock_dispatch_through_mc_mse_experiment():

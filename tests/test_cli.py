@@ -277,6 +277,20 @@ def test_timing_emits_csv_row(tmp_path):
     assert out.read_text() == result.stdout
 
 
+def test_timing_runs_one_row_per_past_length(tmp_path):
+    out = tmp_path / "t.csv"
+    result = run_cli("timing", "--p", "8,12", "--k", 2, "--reps", 5,
+                     "--out", out)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "p,k,distance,seq_ms,offline_ms,ratio"
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["8", "2", "kl"], ["12", "2", "kl"]]
+    assert out.read_text() == result.stdout
+    manifest = read_manifest(f"{out}.manifest.txt")
+    assert manifest["p"] == "8,12" and manifest["status"] == "ok"
+
+
 def test_timing_rejects_bad_shape():
     result = run_cli("timing", "--p", 2, "--k", 5, "--reps", 5)
     assert result.returncode == 2

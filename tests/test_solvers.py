@@ -10,7 +10,9 @@ from seqlink import (
     SimulationConfig,
     abs_entrywise,
     anchor_reference,
+    SeqlinkError,
     estimate,
+    fit,
     frob_cost_block,
     frob_mm,
     ground_truth,
@@ -537,3 +539,55 @@ def test_frob_mm_keeps_the_previous_iterate_on_zero_coefficients():
     batch = frob_mm(h, 0.0, 0.0, MMConfig(max_iters=50, tol=1e-14, init=start))
     assert np.array_equal(batch.phases[:, 2], np.full(2, start[2]))
     assert batch.converged.all()
+
+
+# ---------------------------------------------------------------------------
+# fit: one kernel for both objectives and both modes
+
+
+def single_solve(sigma, distance, w_past, cfg):
+    if w_past is None:
+        solve = solve_offline_kl if distance == "kl" else solve_offline_frob
+        return solve(sigma, cfg)
+    blocks = partition(sigma, w_past.size)
+    if distance == "frob":
+        return solve_seq_frob(blocks, w_past, cfg)
+    factors = schur_factors(abs_entrywise(sigma), w_past.size,
+                            sigma_new=blocks.new)
+    return solve_seq_kl(blocks, factors, w_past, cfg)
+
+
+@pytest.mark.parametrize("sequential", [False, True])
+@pytest.mark.parametrize("distance", ["kl", "frob"])
+def test_fit_rows_are_single_solves_and_a_failed_row_is_nan(distance,
+                                                            sequential):
+    rng = np.random.default_rng(90)
+    l, p = 6, 4
+    sigma = np.array([scm(random_stack(rng, 3 * l, l)) for _ in range(4)])
+    # problem 1: |Σ| holds [[1, 2], [2, 1]], which is not positive definite
+    sigma[1] = np.eye(l)
+    sigma[1, :2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+    w_past = np.array([random_torus(rng, p) for _ in sigma]) if sequential else None
+    cfg = MMConfig(max_iters=200, tol=1e-12)
+    batch = fit(sigma.copy(), cfg, distance, w_past)
+    assert batch.phases.shape == (4, l - p if sequential else l)
+    failed = []
+    for i in range(4):
+        try:
+            report = single_solve(sigma[i], distance,
+                                  None if w_past is None else w_past[i], cfg)
+        except SeqlinkError:
+            failed.append(i)
+            assert np.isnan(batch.phases[i]).all()
+            assert batch.iterations[i] == 0 and not batch.converged[i]
+            continue
+        assert np.array_equal(batch.phases[i], report.phases)
+        assert batch.iterations[i] == report.iterations
+        assert batch.converged[i] == report.converged
+    # least squares inverts nothing, so only the spectral fit fails
+    assert failed == ([1] if distance == "kl" else [])
+
+
+def test_fit_rejects_an_unknown_distance():
+    with pytest.raises(ValueError, match="cosine"):
+        fit(np.eye(3, dtype=complex)[None], MMConfig(), "cosine")
