@@ -3,17 +3,20 @@ sequential fitting, multi-block error propagation, and wall-clock timing of
 one solve at large stack depths.
 
 Every trial owns a seed derived from (master_seed, n, trial index), so curves
-for different modes, distances, and plug-ins are paired draw-for-draw and
-results do not depend on worker count or scheduling order.
+for different modes, distances, and plug-ins are paired draw-for-draw. The
+trials' plug-ins are stacked and each solve stage (offline, past then
+sequential, each chained block) is one solvers.fit call over all of them;
+since no problem's result depends on the rest of its stack, results do not
+depend on worker count or scheduling order either.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import SeqlinkError
 from .linalg import abs_entrywise, partition, schur_factors
 from .plugins import PluginSpec, estimate, scm
 from .raster import _run_rows
@@ -132,38 +135,43 @@ def phase_diff_error(
     return float(np.angle(hat * np.conj(true)) ** 2)
 
 
+def _plugin_stacks(cfg, sigma_true, n, trials, bounds):
+    """Per bound d, the (T, d, d) stack of the trials' plug-ins over their
+    first d dates (or the injected truth block); trial t draws its samples
+    from SeedSequence([master_seed, n, t])."""
+    plugins = {d: [] for d in bounds}
+    for trial in trials:
+        stack = None
+        if not cfg.inject_truth:
+            seed = np.random.SeedSequence([cfg.master_seed, n, trial])
+            stack = sample_stack(sigma_true, replace(cfg.sim, n=n), seed)
+        for d in bounds:
+            plugins[d].append(sigma_true[:d, :d] if cfg.inject_truth
+                              else estimate(stack[:, :d], cfg.plugin))
+    return {d: np.array(stacks) for d, stacks in plugins.items()}
+
+
 def _fit(cfg, sigma, w_past=None):
-    """The phases of one plug-in (see solvers.fit); raises SeqlinkError if
-    its solve failed, so the trial is excluded. sigma is copied, since fit
-    may overwrite it and injected truth blocks are views of the truth."""
-    batch = fit(np.array(sigma)[None], cfg.solver, cfg.distance,
-                None if w_past is None else w_past[None])
-    if np.isnan(batch.phases).any():
-        raise SeqlinkError("solve failed")
-    return batch.phases[0]
+    """The phases of a (T, d, d) plug-in stack (see solvers.fit), NaN rows
+    where a solve failed. With w_past (T, p), each row is its past phases
+    followed by the new ones; rows whose past holds NaN are not fitted and
+    stay NaN. sigma is left as it is, since fit may overwrite its input."""
+    if w_past is None:
+        return fit(sigma.copy(), cfg.solver, cfg.distance).phases
+    p = w_past.shape[-1]
+    out = np.full((len(sigma), sigma.shape[-1]), np.nan, dtype=complex)
+    out[:, :p] = w_past
+    ok = ~np.isnan(w_past).any(axis=1)
+    if ok.any():
+        out[ok, p:] = fit(sigma[ok], cfg.solver, cfg.distance,
+                          w_past[ok]).phases
+    return out
 
 
-def _plugin_or_truth(cfg, stack, sigma_true, dates):
-    """Plug-in over the first `dates` dates (or the injected truth block)."""
-    if cfg.inject_truth:
-        return sigma_true[:dates, :dates]
-    return estimate(stack[:, :dates], cfg.plugin)
-
-
-def _estimate_full_trial(cfg, sigma_true, n, trial):
-    """theta_hat over all l dates for one trial of the offline or
-    sequential pipeline."""
-    seed = np.random.SeedSequence([cfg.master_seed, n, trial])
-    stack = None
-    if not cfg.inject_truth:
-        stack = sample_stack(sigma_true, replace(cfg.sim, n=n), seed)
-    l = cfg.sim.l
-    if cfg.mode == "offline":
-        return _fit(cfg, _plugin_or_truth(cfg, stack, sigma_true, l))
-    # the past fit only ever saw the past dates' samples
-    w_past = _fit(cfg, _plugin_or_truth(cfg, stack, sigma_true, cfg.sim.p))
-    sigma_hat = _plugin_or_truth(cfg, stack, sigma_true, l)
-    return np.concatenate([w_past, _fit(cfg, sigma_hat, w_past)])
+def _trial_chunks(trials: int, threads: int):
+    """Contiguous chunks of the trial indices, one per worker thread."""
+    return [chunk for chunk in np.array_split(np.arange(trials), threads)
+            if chunk.size]
 
 
 def trial_errors(cfg: ExperimentConfig, n: int, threads: int = 1) -> np.ndarray:
@@ -172,16 +180,24 @@ def trial_errors(cfg: ExperimentConfig, n: int, threads: int = 1) -> np.ndarray:
     if cfg.mode == "multiblock":
         raise ValueError("use multiblock_experiment for multiblock configs")
     _, w_true, sigma_true = ground_truth(cfg.sim)
+    l, p = cfg.sim.l, cfg.sim.p
     errors = np.full(cfg.trials, np.nan)
+    chunks = _trial_chunks(cfg.trials, threads)
 
-    def worker(trial: int) -> None:
-        try:
-            theta_hat = _estimate_full_trial(cfg, sigma_true, n, trial)
-        except (SeqlinkError, np.linalg.LinAlgError):
-            return
-        errors[trial] = phase_diff_error(theta_hat, w_true, 0, cfg.sim.l - 1)
+    def worker(index: int) -> None:
+        trials = chunks[index]
+        if cfg.mode == "offline":
+            sigma = _plugin_stacks(cfg, sigma_true, n, trials, (l,))
+            theta_hat = _fit(cfg, sigma[l])
+        else:
+            # the past fit only ever saw the past dates' samples
+            sigma = _plugin_stacks(cfg, sigma_true, n, trials, (p, l))
+            theta_hat = _fit(cfg, sigma[l], _fit(cfg, sigma[p]))
+        for trial, row in zip(trials, theta_hat):
+            if not np.isnan(row).any():
+                errors[trial] = phase_diff_error(row, w_true, 0, l - 1)
 
-    _run_rows(cfg.trials, worker, threads)
+    _run_rows(len(chunks), worker, threads)
     return errors
 
 
@@ -212,17 +228,6 @@ def mc_mse_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[MseRow]:
     return rows
 
 
-def _chain_blocks(cfg, sigma_true, stack, sizes):
-    """Offline fit of the first block, then sequential fits block by block."""
-    bound = sizes[0]
-    w_acc = _fit(cfg, _plugin_or_truth(cfg, stack, sigma_true, bound))
-    for k in sizes[1:]:
-        sigma_hat = _plugin_or_truth(cfg, stack, sigma_true, bound + k)
-        w_acc = np.concatenate([w_acc, _fit(cfg, sigma_hat, w_acc)])
-        bound += k
-    return w_acc
-
-
 def _final_block_error(theta_hat, w_true, first_final: int) -> float:
     """Mean squared wrapped error of the final block's phases vs date 1."""
     l = w_true.size
@@ -237,43 +242,43 @@ def multiblock_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[MseRo
     Arms: "offline" fits all dates at once; "sequential" fits the final block
     given an offline fit of everything before it; "chained" bootstraps from an
     offline fit of the first block only, then applies the sequential solver
-    block by block. All arms share each trial's draw.
+    block by block. All arms share each trial's draw, and a trial that fails
+    in any arm is excluded from every arm.
     """
     if cfg.mode != "multiblock":
         raise ValueError("config mode must be 'multiblock'")
     sizes = cfg.sizes
     l = cfg.sim.l
     p_last = l - sizes[-1]
-    first_final = p_last
+    bounds = list(accumulate(sizes))
     _, w_true, sigma_true = ground_truth(cfg.sim)
+    chunks = _trial_chunks(cfg.trials, threads)
     rows = []
     for n in sorted(cfg.n_grid):
         errors = {arm: np.full(cfg.trials, np.nan) for arm in MULTIBLOCK_ARMS}
 
-        def worker(trial: int) -> None:
-            seed = np.random.SeedSequence([cfg.master_seed, n, trial])
-            stack = None
-            if not cfg.inject_truth:
-                stack = sample_stack(sigma_true, replace(cfg.sim, n=n), seed)
-            try:
-                sigma_hat = _plugin_or_truth(cfg, stack, sigma_true, l)
-                errors["offline"][trial] = _final_block_error(
-                    _fit(cfg, sigma_hat), w_true, first_final)
+        def worker(index: int) -> None:
+            trials = chunks[index]
+            sigma = _plugin_stacks(cfg, sigma_true, n, trials,
+                                   sorted({p_last, *bounds}))
+            chained = _fit(cfg, sigma[bounds[0]])
+            for bound in bounds[1:]:
+                chained = _fit(cfg, sigma[bound], chained)
+            theta_hat = {
+                "offline": _fit(cfg, sigma[l]),
+                "sequential": _fit(cfg, sigma[l], _fit(cfg, sigma[p_last])),
+                "chained": chained,
+            }
+            failed = np.zeros(len(trials), dtype=bool)
+            for arm in MULTIBLOCK_ARMS:
+                failed |= np.isnan(theta_hat[arm]).any(axis=1)
+            for j, trial in enumerate(trials):
+                if not failed[j]:
+                    for arm in MULTIBLOCK_ARMS:
+                        errors[arm][trial] = _final_block_error(
+                            theta_hat[arm][j], w_true, p_last)
 
-                w_past = _fit(cfg, _plugin_or_truth(cfg, stack, sigma_true,
-                                                    p_last))
-                errors["sequential"][trial] = _final_block_error(
-                    np.concatenate([w_past, _fit(cfg, sigma_hat, w_past)]),
-                    w_true, first_final)
-
-                chained = _chain_blocks(cfg, sigma_true, stack, sizes)
-                errors["chained"][trial] = _final_block_error(
-                    chained, w_true, first_final)
-            except (SeqlinkError, np.linalg.LinAlgError):
-                for arm in MULTIBLOCK_ARMS:
-                    errors[arm][trial] = np.nan
-
-        _run_rows(cfg.trials, worker, threads)
+        _run_rows(len(chunks), worker, threads)
         for arm in MULTIBLOCK_ARMS:
             rows.append(_aggregate(cfg, arm, n, errors[arm]))
     return rows
@@ -291,9 +296,11 @@ def timing_experiment(
 
     Identical plug-in input for both arms; both run a fixed iteration count
     so the comparison reflects per-solve work, not stopping behavior. The
-    sequential arm starts from already-available past factors, matching its
-    operating regime where past-block quantities persist between
-    acquisitions; plug-in estimation is excluded for both.
+    sequential arm (seq_ms) starts from already-available past factors,
+    matching its operating regime where past-block quantities persist
+    between acquisitions; seq_fit_ms times the same update as one fit call,
+    which builds the partition and, for the spectral fit, the Schur factors
+    of the full plug-in first. Plug-in estimation is excluded for all.
     """
     if not (p >= k >= 1):
         raise ValueError("need p >= k >= 1")
@@ -320,12 +327,16 @@ def timing_experiment(
         def run_seq():
             return solve_seq_frob(blocks, w_past, cfg)
 
+    # fit may overwrite its input
+    def run_seq_fit():
+        return fit(sigma_hat[None].copy(), cfg, distance, w_past[None])
+
     def run_offline():
-        # fit may overwrite its input
         return fit(sigma_hat[None].copy(), cfg, distance)
 
-    run_seq()  # warm caches (lazy factor products, BLAS paths)
-    run_offline()
+    # warm caches (lazy factor products, BLAS paths)
+    for run in (run_seq, run_seq_fit, run_offline):
+        run()
 
     def median_ms(fn):
         times = []
@@ -335,4 +346,5 @@ def timing_experiment(
             times.append(time.perf_counter() - start)
         return float(np.median(times) * 1000.0)
 
-    return {"seq_ms": median_ms(run_seq), "offline_ms": median_ms(run_offline)}
+    return {"seq_ms": median_ms(run_seq), "offline_ms": median_ms(run_offline),
+            "seq_fit_ms": median_ms(run_seq_fit)}

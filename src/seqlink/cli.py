@@ -18,6 +18,7 @@ from .bench import (
     rows_to_csv,
     timing_experiment,
 )
+from .blas import blas_pinnable
 from .config import build_plugin, load_experiments, load_simulate_job
 from .errors import ConfigError, SeqlinkError
 from .plugins import window_bounds
@@ -135,6 +136,7 @@ def cmd_solve(args) -> int:
         "regularizer": spec.label()[1],
         "window": args.window,
         "threads": threads,
+        "blas.pinned": "yes" if blas_pinnable() else "no",
         "output.raster": out,
     }
     if args.mode == "sequential":
@@ -190,6 +192,7 @@ def cmd_bench(args) -> int:
     manifest = manifest_path_for(out)
     write_manifest(manifest, "bench", {
         "experiments": len(configs),
+        "blas.pinned": "yes" if blas_pinnable() else "no",
         "output.csv": out,
     }, echo)
     rows = []
@@ -202,7 +205,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-TIMING_HEADER = "p,k,distance,seq_ms,offline_ms,ratio"
+TIMING_HEADER = "p,k,distance,seq_ms,offline_ms,ratio,seq_fit_ms"
 
 
 def int_list(text: str) -> list[int]:
@@ -215,7 +218,8 @@ def cmd_timing(args) -> int:
         result = timing_experiment(p, args.k, args.distance, args.reps)
         ratio = result["seq_ms"] / result["offline_ms"]
         lines.append(f"{p},{args.k},{args.distance},{result['seq_ms']!r},"
-                     f"{result['offline_ms']!r},{ratio!r}")
+                     f"{result['offline_ms']!r},{ratio!r},"
+                     f"{result['seq_fit_ms']!r}")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:

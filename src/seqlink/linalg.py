@@ -4,13 +4,16 @@ inverse and the largest eigenvalue.
 
 Everything here operates on plain numpy arrays and is pure: no function
 mutates its inputs, so values can be shared freely between pixel workers.
+pd_inverse, partition, schur_factors and largest_eigenvalue also take a
+stack of matrices along leading axes; numpy's stacked factorizations and
+products treat each matrix as if it were alone, so a stacked result is the
+same, bit for bit, as the matrix's own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveDefinite
 
@@ -38,26 +41,31 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
+    """A⁻¹ = L⁻ᴴL⁻¹ from the Cholesky factor A = LLᴴ; raises LinAlgError
+    unless every matrix of the stack is positive definite."""
+    l_inv = np.linalg.inv(np.linalg.cholesky(a))
+    return l_inv.conj().mT @ l_inv
+
+
 def pd_inverse(a: np.ndarray, jitter: float = DEFAULT_JITTER) -> np.ndarray:
     """Invert a symmetric/Hermitian positive-definite matrix via Cholesky.
 
     If the factorization fails and jitter > 0, retries once after adding
     jitter*(trace/dim) to the diagonal; raises NotPositiveDefinite if that
-    also fails.
+    also fails. A stack fails, or is rescued, as a whole.
     """
     a = np.asarray(a)
-    dim = a.shape[0]
-    eye = np.eye(dim, dtype=a.dtype)
+    dim = a.shape[-1]
     try:
-        c, low = scipy.linalg.cho_factor(a, lower=True)
-        return scipy.linalg.cho_solve((c, low), eye)
+        return _cholesky_inverse(a)
     except np.linalg.LinAlgError:
         pass
     if jitter > 0:
-        bump = jitter * (np.trace(a).real / dim)
+        bump = jitter * (np.trace(a, axis1=-2, axis2=-1).real / dim)
         try:
-            c, low = scipy.linalg.cho_factor(a + bump * eye, lower=True)
-            return scipy.linalg.cho_solve((c, low), eye)
+            return _cholesky_inverse(
+                a + np.multiply.outer(bump, np.eye(dim, dtype=a.dtype)))
         except np.linalg.LinAlgError:
             pass
     raise NotPositiveDefinite(
@@ -67,7 +75,7 @@ def pd_inverse(a: np.ndarray, jitter: float = DEFAULT_JITTER) -> np.ndarray:
 
 @dataclass
 class BlockCov:
-    """Past/cross/new partition of an l x l matrix.
+    """Past/cross/new partition of an l x l matrix (or a stack of them).
 
     past is p x p, cross is k x p (new rows against past columns) and new is
     k x k, so the source matrix is [[past, crossᴴ], [cross, new]].
@@ -79,20 +87,21 @@ class BlockCov:
 
     @property
     def p(self) -> int:
-        return self.past.shape[0]
+        return self.past.shape[-1]
 
     @property
     def k(self) -> int:
-        return self.new.shape[0]
+        return self.new.shape[-1]
 
 
 def partition(m: np.ndarray, p: int) -> BlockCov:
     """Split an l x l matrix into past (p x p), cross (k x p), new (k x k)."""
     m = np.asarray(m)
-    l = m.shape[0]
+    l = m.shape[-1]
     if not 1 <= p < l:
         raise ValueError(f"past length p={p} must satisfy 1 <= p < l={l}")
-    return BlockCov(past=m[:p, :p], cross=m[p:, :p], new=m[p:, p:])
+    return BlockCov(past=m[..., :p, :p], cross=m[..., p:, :p],
+                    new=m[..., p:, p:])
 
 
 def reassemble(blocks: BlockCov) -> np.ndarray:
@@ -127,7 +136,7 @@ class SchurFactors:
             if self._cross is None:
                 raise ValueError("factors were built without the cross block")
             qp = self._cross @ self.psi_p_inv  # k x p
-            self._f_inv = self.psi_p_inv + qp.T @ self.d_inv @ qp
+            self._f_inv = self.psi_p_inv + qp.mT @ self.d_inv @ qp
         return self._f_inv
 
 
@@ -145,8 +154,8 @@ def schur_factors(
     psi = np.asarray(psi)
     blocks = partition(psi, p)
     psi_p_inv = pd_inverse(blocks.past, jitter)
-    d = blocks.new - blocks.cross @ psi_p_inv @ blocks.cross.T
-    d = (d + d.T) / 2
+    d = blocks.new - blocks.cross @ psi_p_inv @ blocks.cross.mT
+    d = (d + d.mT) / 2
     d_inv = pd_inverse(d, jitter)
     a_mat = -d_inv @ blocks.cross @ psi_p_inv
     m_mat = None
@@ -168,14 +177,16 @@ def assemble_block_inverse(factors: SchurFactors) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def largest_eigenvalue(h: np.ndarray) -> float:
-    """Largest (algebraic) eigenvalue of a Hermitian matrix.
+def largest_eigenvalue(h: np.ndarray):
+    """Largest (algebraic) eigenvalue of a Hermitian matrix: a float, or an
+    array of one per matrix of a stack.
 
     A dense eigvalsh: the matrices here are at most a few hundred on a side,
     where it is exact to rounding and costs less than iterating. Returns 0.0
     for a zero matrix; raises ValueError for an empty one.
     """
     h = np.asarray(h)
-    if h.shape[0] == 0:
+    if h.shape[-1] == 0:
         raise ValueError("empty matrix")
-    return float(np.linalg.eigvalsh(h)[-1])
+    top = np.linalg.eigvalsh(h)[..., -1]
+    return float(top) if h.ndim == 2 else top

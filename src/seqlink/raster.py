@@ -1,11 +1,10 @@
 """Whole-raster phase estimation.
 
 The raster is processed row by row. Each row builds every pixel's
-sliding-window plug-in in one pass (plugins.window_estimates) and solves its
-pixels through solvers.fit: least-squares pixels together in one stacked MM,
-spectral-fit pixels one by one on the row's plug-ins. Pixels are
-independent, so the result is byte-identical for any number of worker
-threads.
+sliding-window plug-in in one pass (plugins.window_estimates) and solves all
+its pixels in one solvers.fit call, one stacked MM under either objective.
+Pixels are independent, so the result is byte-identical for any number of
+worker threads.
 """
 from __future__ import annotations
 
@@ -14,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import single_blas_thread
 # estimate, schur_factors and the four solve_* functions are not called here;
 # they stay importable from this module because perfbench/spans.py wraps them
 from .linalg import schur_factors  # noqa: F401
@@ -133,12 +133,16 @@ def sliding_window_extract(
 
 
 def _run_rows(height: int, worker, threads: int) -> None:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(worker, range(height)))
-    else:
-        for row in range(height):
-            worker(row)
+    """worker(row) for every row, on `threads` worker threads, with BLAS on
+    one thread (see blas.single_blas_thread) so that they are the only
+    parallelism."""
+    with single_blas_thread():
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(worker, range(height)))
+        else:
+            for row in range(height):
+                worker(row)
 
 
 def _check_distance(distance: str) -> None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveDefinite
 from .linalg import DEFAULT_JITTER, hermitize
@@ -52,7 +51,8 @@ def toeplitz_coherence(l: int, rho: float) -> np.ndarray:
     """Coherence matrix Ψ[i,j] = rho^|i-j| (unit diagonal, positive definite)."""
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    return scipy.linalg.toeplitz(rho ** np.arange(l))
+    lags = np.arange(l)
+    return (rho ** lags)[np.abs(lags[:, None] - lags[None, :])]
 
 
 def linear_phase_ramp(l: int, total_rad: float = 2.0) -> np.ndarray:

@@ -4,20 +4,22 @@ Offline solvers estimate all l phases of a stack at once; sequential solvers
 estimate only the k newest phases given p fixed past phases, touching only
 k-sized (and k x p) objects per iteration.
 
-Each surrogate is linear in w, so its torus minimizer is the entrywise phase
-projection (a zero coefficient leaves that coordinate's value free; we keep
-the previous iterate there, which preserves monotone descent and makes fully
-decoupled coordinates honest fixed points).
+Both objectives are Hermitian quadratics on the torus, and one kernel,
+torus_mm, minimizes a whole stack of them at once (say, every pixel of a
+raster row, or every trial of a Monte Carlo stage). Each step minimizes a
+linear majorizer, whose torus minimizer is the entrywise phase projection (a
+zero coefficient leaves that coordinate's value free; we keep the previous
+iterate there, which preserves monotone descent and makes fully decoupled
+coordinates honest fixed points).
 
-The spectral-fit (KL) solvers shift by the exact largest eigenvalue and add
-restarted momentum to the MM map (see _mm_loop), which cuts their iteration
-counts from thousands to about a hundred at l=40. The offline KL solver also
-starts from the EMI estimate, the phase of the smallest eigenvector of
-Ψ⁻¹∘Σ (Ansari, De Zan & Bamler, IEEE TGRS 2018). The least-squares solvers
-converge in tens of plain MM steps and take neither; they share one kernel,
-frob_mm, that runs a whole stack of problems (say, every pixel of a raster
-row) at once. fit runs either objective, offline or sequential, on a stack
-of plug-ins; the raster and the Monte Carlo bench solve through it.
+The least-squares form converges in tens of plain MM steps. The spectral-fit
+(KL) form shifts its steps by the exact largest eigenvalue and adds
+restarted momentum, which cuts its iteration counts from thousands to about
+a hundred at l=40; offline, it starts from the EMI estimate, the phase of
+the smallest eigenvector of Ψ⁻¹∘Σ (Ansari, De Zan & Bamler, IEEE TGRS 2018).
+fit runs either objective, offline or sequential, on a stack of plug-ins;
+the raster and the Monte Carlo bench solve through it. The solve_* functions
+are its one-problem forms, with cost traces.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import quad_form
 from .errors import SeqlinkError
 from .linalg import (
     DEFAULT_JITTER,
@@ -114,61 +115,17 @@ def _stopped(cost_now: float, cost_prev: float, tol: float) -> bool:
     return abs(cost_now - cost_prev) <= tol * max(1.0, abs(cost_now))
 
 
-def _next_t(t: float) -> float:
+def _next_t(t):
     return (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
 
 
-def _mm_loop(w0, cost_of, next_of, cfg: MMConfig) -> SolveReport:
-    """Iterate w⁺ = Φ(next_of(w)) with restarted momentum until the cost
-    settles (see MMConfig).
-
-    Each step first extrapolates y = Φ(w + β(w - w_prev)), with the FISTA
-    sequence t⁺ = (1 + √(1 + 4t²))/2 from t = 1 and β = (t - 1)/t⁺, and
-    applies the MM map at y. That candidate is accepted only if its cost is
-    no higher than the cost at w; otherwise t restarts at 1 and the plain MM
-    step from w is taken instead (Sun, Babu & Palomar, IEEE TSP 2017). So
-    descent stays monotone, and since β = 0 at t = 1 the first step is always
-    the plain one.
-    """
-    w = w_prev = w0
-    cost = cost_of(w)
-    trace = [cost]
-    t = 1.0
-    iterations = 0
-    converged = False
-    for _ in range(cfg.max_iters):
-        candidate = None
-        t_next = _next_t(t)
-        beta = (t - 1.0) / t_next
-        t = t_next
-        if beta > 0.0:
-            y = _project_keep(w + beta * (w - w_prev), w)
-            candidate = _project_keep(next_of(y), y)
-            candidate_cost = cost_of(candidate)
-            if candidate_cost > cost:
-                # restart: the plain step below is the step at t = 1
-                candidate = None
-                t = _next_t(1.0)
-        if candidate is None:
-            candidate = _project_keep(next_of(w), w)
-            candidate_cost = cost_of(candidate)
-        w_prev, w, cost = w, candidate, candidate_cost
-        iterations += 1
-        trace.append(cost)
-        if _stopped(trace[-1], trace[-2], cfg.tol):
-            converged = True
-            break
-    return SolveReport(
-        phases=w,
-        cost_trace=np.array(trace),
-        iterations=iterations,
-        converged=converged,
-    )
+# the momentum sequence after a plain step from t = 1, as after a restart
+_T_PLAIN = _next_t(1.0)
 
 
 @dataclass
 class BatchReport:
-    """frob_mm and fit output, one entry per problem of the stack.
+    """torus_mm and fit output, one entry per problem of the stack.
 
     cost_trace, when asked for, is (steps + 1, B): row t holds each
     problem's cost after t steps, NaN once that problem has stopped.
@@ -192,30 +149,58 @@ def _stopped_each(gain, prev, tol: float):
     return done if np.count_nonzero(done) else None
 
 
-def frob_mm(h, b, const, cfg: MMConfig = MMConfig(),
-            trace: bool = False) -> BatchReport:
-    """Least-squares MM on a stack of B problems at once.
+def _shifted_step(mat, shift, w, u):
+    """The step from each bordered iterate w̃ = (w, 1), given u = H̃w̃:
+    Φ(s w + H w + b), keeping w on zero coefficients; returns the new
+    bordered iterate, its product and its gain (the negated cost)."""
+    dim = w.shape[-1] - 1
+    nxt = w.copy()
+    v = shift * w[:, :dim] + u[:, :dim]
+    mod = np.abs(v)
+    np.divide(v, mod, out=nxt[:, :dim], where=mod > 0)
+    product = np.matvec(mat, nxt)
+    return nxt, product, np.vecdot(nxt, product).real
+
+
+def torus_mm(h, b, const, cfg: MMConfig = MMConfig(), trace: bool = False,
+             *, shift=None, w0=None) -> BatchReport:
+    """MM on a stack of B problems at once.
 
     Problem i minimizes const_i - Re(wᴴ(H_i w + 2 b_i)) over the torus,
     with h (B, k, k) Hermitian, b (B, k) and const (B,) (b and const may
-    be anything that broadcasts, such as 0). The concave form is majorized
-    by its linearization, so each step is w⁺ = Φ(H w + b), where a zero
-    coefficient keeps the previous iterate. Every problem starts from cfg's
-    start vector and stops under MMConfig's rule on its own cost; stopped
-    problems leave the active stack, so each result is the same whatever
-    else is in the batch.
+    be anything that broadcasts, such as 0). Each step minimizes the
+    linearization at the iterate, w⁺ = Φ(s w + H w + b), which majorizes the
+    cost whenever sI + H is positive semidefinite; a zero coefficient keeps
+    the previous iterate.
+
+    shift None is the least-squares form (H positive semidefinite, s = 0),
+    run as plain steps. With shift (B,), s_i = shift_i, and each step first
+    extrapolates y = Φ(w + β(w - w_prev)), with the FISTA sequence
+    t⁺ = (1 + √(1 + 4t²))/2 from t = 1 and β = (t - 1)/t⁺, and steps from
+    y. That candidate is kept only if its cost is no higher than the cost
+    at w; otherwise t restarts at 1 and the plain step from w is taken
+    instead (Sun, Babu & Palomar, IEEE TSP 2017). So descent stays
+    monotone, and since β = 0 at t = 1 the first step is always the plain
+    one.
+
+    Problems start from w0 (B, k) when given, else from cfg's start vector,
+    and each stops under MMConfig's rule on its own cost; stopped problems
+    leave the active stack, so each result is the same whatever else is in
+    the batch.
     """
     count, dim = len(h), h.shape[-1]
     # bordered matrices [[H, b], [bᴴ, -const]]: with w̃ = (w, 1), the one
-    # product H̃w̃ per step holds the next step's H w + b, and w̃ᴴH̃w̃ is the
-    # negated cost
+    # product H̃w̃ per iterate holds the next step's H w + b, and w̃ᴴH̃w̃ is
+    # the negated cost
     mat = np.empty((count, dim + 1, dim + 1), dtype=complex)
     mat[:, :dim, :dim] = h
     mat[:, :dim, dim] = b
     mat[:, dim, :dim] = np.conj(b)
     mat[:, dim, dim] = np.negative(const)
     w = np.ones((count, dim + 1), dtype=complex)
-    if cfg.init is not None:
+    if w0 is not None:
+        w[:, :dim] = w0
+    elif cfg.init is not None:
         w[:, :dim] = cfg.start_vector(dim)
     phases = np.empty((count, dim), dtype=complex)
     iterations = np.full(count, cfg.max_iters)
@@ -224,12 +209,37 @@ def frob_mm(h, b, const, cfg: MMConfig = MMConfig(),
     u = np.matvec(mat, w)
     gain = np.vecdot(w, u).real
     costs = [-gain] if trace else None
+    if shift is not None:
+        shift = np.asarray(shift, dtype=float)[:, None]
     for step in range(1, cfg.max_iters + 1):
-        v = u[:, :dim]
-        mod = np.abs(v)
-        np.divide(v, mod, out=w[:, :dim], where=mod > 0)
-        u = np.matvec(mat, w)
-        prev, gain = gain, np.vecdot(w, u).real
+        prev = gain
+        if shift is None:
+            v = u[:, :dim]
+            mod = np.abs(v)
+            np.divide(v, mod, out=w[:, :dim], where=mod > 0)
+            u = np.matvec(mat, w)
+            gain = np.vecdot(w, u).real
+        elif step == 1:
+            w_prev = w
+            w, u, gain = _shifted_step(mat, shift, w, u)
+            t = np.full(len(active), _T_PLAIN)
+        else:
+            t_next = _next_t(t)
+            beta = ((t - 1.0) / t_next)[:, None]
+            t = t_next
+            y = w.copy()
+            z = w[:, :dim] + beta * (w[:, :dim] - w_prev[:, :dim])
+            mod = np.abs(z)
+            np.divide(z, mod, out=y[:, :dim], where=mod > 0)
+            nxt, product, nxt_gain = _shifted_step(mat, shift, y,
+                                                   np.matvec(mat, y))
+            rise = nxt_gain < gain
+            if rise.any():
+                # restart: the plain step from w is the step at t = 1
+                nxt[rise], product[rise], nxt_gain[rise] = _shifted_step(
+                    mat[rise], shift[rise], w[rise], u[rise])
+                t[rise] = _T_PLAIN
+            w_prev, w, u, gain = w, nxt, product, nxt_gain
         if trace:
             row = -gain
             if active.size < count:  # NaN for problems that have stopped
@@ -245,6 +255,8 @@ def frob_mm(h, b, const, cfg: MMConfig = MMConfig(),
             keep = ~done
             active, mat, w, u, gain = (
                 x[keep] for x in (active, mat, w, u, gain))
+            if shift is not None:
+                shift, t, w_prev = shift[keep], t[keep], w_prev[keep]
             if not active.size:
                 break
     phases[active] = w[:, :dim]
@@ -253,7 +265,7 @@ def frob_mm(h, b, const, cfg: MMConfig = MMConfig(),
 
 
 def _single(batch: BatchReport) -> SolveReport:
-    """The SolveReport of a one-problem frob_mm run."""
+    """The SolveReport of a one-problem torus_mm run."""
     iterations = int(batch.iterations[0])
     return SolveReport(
         phases=batch.phases[0],
@@ -261,6 +273,53 @@ def _single(batch: BatchReport) -> SolveReport:
         iterations=iterations,
         converged=bool(batch.converged[0]),
     )
+
+
+def kl_seq_terms(blocks: BlockCov, factors: SchurFactors, w_past):
+    """torus_mm's (M, n, c) for the sequential spectral-fit problem, which
+    is torus_mm(-M, n, c) shifted by λ_max(M).
+
+    The block objective w_pastᴴ(F⁻¹∘Σ_p)w_past + 2Re(w̄ᴴ(A∘Σ_pn)w_past)
+    + w̄ᴴ(D⁻¹∘Σ_n)w̄ is c - 2Re(w̄ᴴn) + w̄ᴴMw̄ with M = D⁻¹∘Σ_n,
+    n = ((-A)∘Σ_pn) w_past and c = w_pastᴴ(F⁻¹∘Σ_p)w_past: only k x k and
+    k x p objects enter the iterations. Blocks and factors may carry a
+    leading stack axis (with w_past (B, p)).
+    """
+    m_mat = factors.m_mat
+    if m_mat is None:
+        m_mat = hadamard(factors.d_inv, blocks.new)
+    n_vec = np.matvec(hadamard(-factors.a_mat, blocks.cross), w_past)
+    past_form = np.matvec(hadamard(factors.f_inv(), blocks.past), w_past)
+    return m_mat, n_vec, np.vecdot(w_past, past_form).real
+
+
+def _seq_kl(m_mat, n_vec, const, cfg, trace=False) -> BatchReport:
+    """torus_mm on stacked kl_seq_terms."""
+    return torus_mm(-m_mat, n_vec, const, cfg, trace,
+                    shift=largest_eigenvalue(m_mat))
+
+
+def _fit_kl(sigma, cfg, w_past, jitter=DEFAULT_JITTER,
+            trace=False) -> BatchReport:
+    """Spectral-fit torus_mm over a (B, l, l) stack; raises a solver or
+    linear-algebra error if any |Σ| factor cannot be inverted.
+
+    Offline, H = -(Ψ⁻¹∘Σ) and one stacked eigendecomposition of Ψ⁻¹∘Σ gives
+    both the shift λ_max and, unless cfg.init is set, the EMI start: the
+    phase of the eigenvector of the smallest eigenvalue. Sequential problems
+    take the Schur factors of |Σ| and kl_seq_terms.
+    """
+    psi = abs_entrywise(sigma)
+    if w_past is None:
+        h = hadamard(pd_inverse(psi, jitter), sigma)
+        vals, vecs = np.linalg.eigh(h)
+        w0 = phase_project(vecs[..., 0]) if cfg.init is None else None
+        batch = torus_mm(-h, 0.0, 0.0, cfg, trace, shift=vals[:, -1], w0=w0)
+        batch.phases = anchor_reference(batch.phases)
+        return batch
+    blocks = partition(sigma, w_past.shape[-1])
+    factors = schur_factors(psi, blocks.p, jitter, sigma_new=blocks.new)
+    return _seq_kl(*kl_seq_terms(blocks, factors, w_past), cfg, trace)
 
 
 def solve_offline_kl(
@@ -272,39 +331,23 @@ def solve_offline_kl(
 
     The convex quadratic form is majorized by its linearization shifted by
     the largest eigenvalue, giving the update w⁺ = Φ((λ_max I - H) w), run
-    with restarted momentum. One eigendecomposition of H gives both λ_max
-    and, unless cfg.init is set, the EMI start: the phase of the eigenvector
-    of the smallest eigenvalue. Output is anchored to the first date.
+    with restarted momentum from the EMI start unless cfg.init is set (see
+    torus_mm and fit). Output is anchored to the first date.
     """
-    sigma = np.asarray(sigma)
-    psi_inv = pd_inverse(abs_entrywise(sigma), jitter)
-    h = hadamard(psi_inv, sigma)
-    vals, vecs = np.linalg.eigh(h)
-    lam = float(vals[-1])
-    if cfg.init is None:
-        w0 = phase_project(vecs[:, 0])
-    else:
-        w0 = cfg.start_vector(sigma.shape[0])
-    report = _mm_loop(
-        w0,
-        cost_of=lambda w: quad_form(w, h),
-        next_of=lambda w: lam * w - h @ w,
-        cfg=cfg,
-    )
-    report.phases = anchor_reference(report.phases)
-    return report
+    return _single(_fit_kl(np.asarray(sigma)[None], cfg, None, jitter,
+                           trace=True))
 
 
 def solve_offline_frob(sigma: np.ndarray, cfg: MMConfig = MMConfig()) -> SolveReport:
     """Full-stack MM under the least-squares objective -2wᴴ(Ψ∘Σ)w.
 
     The concave quadratic form is majorized by its linearization, giving
-    w⁺ = Φ(H w) with H = 2(Ψ∘Σ); this is frob_mm on one problem. Output is
+    w⁺ = Φ(H w) with H = 2(Ψ∘Σ); this is torus_mm on one problem. Output is
     anchored to the first date.
     """
     sigma = np.asarray(sigma)
     h = 2.0 * hadamard(abs_entrywise(sigma), sigma)
-    report = _single(frob_mm(h[None], 0.0, 0.0, cfg, trace=True))
+    report = _single(torus_mm(h[None], 0.0, 0.0, cfg, trace=True))
     report.phases = anchor_reference(report.phases)
     return report
 
@@ -319,40 +362,21 @@ def solve_seq_kl(
     the p past phases fixed.
 
     Iterates w̄⁺ = Φ( ((-A)∘Σ_pn) w_past - (M - λ_max I) w̄ ) with
-    M = D⁻¹∘Σ_n, with restarted momentum; only k x k and k x p products
-    appear per solve. The reported cost is the block objective including its
-    constant past term (computed once), so traces are comparable with
-    offline runs. The output is not re-anchored: the phase reference lives
-    in w_past.
+    M = D⁻¹∘Σ_n, with restarted momentum (see kl_seq_terms and torus_mm).
+    The reported cost is the block objective including its constant past
+    term, so traces are comparable with offline runs. The output is not
+    re-anchored: the phase reference lives in w_past.
     """
-    w_past = np.asarray(w_past, dtype=complex)
-    m_mat = factors.m_mat
-    if m_mat is None:
-        m_mat = hadamard(factors.d_inv, blocks.new)
-    lam = largest_eigenvalue(m_mat)
-    n_vec = hadamard(-factors.a_mat, blocks.cross) @ w_past
-    const_past = quad_form(w_past, hadamard(factors.f_inv(), blocks.past))
-
-    def cost_of(w_new):
-        # same terms as kl_cost_block, with the past term precomputed and
-        # (A∘Σ_pn)w_past = -n_vec reused
-        cross_term = -2.0 * float(np.real(w_new.conj() @ n_vec))
-        return const_past + cross_term + quad_form(w_new, m_mat)
-
-    w0 = cfg.start_vector(blocks.k)
-    return _mm_loop(
-        w0,
-        cost_of=cost_of,
-        next_of=lambda w: n_vec - (m_mat @ w - lam * w),
-        cfg=cfg,
-    )
+    terms = kl_seq_terms(blocks, factors, np.asarray(w_past, dtype=complex))
+    return _single(_seq_kl(*(np.asarray(x)[None] for x in terms), cfg,
+                           trace=True))
 
 
 def frob_seq_terms(past, cross, new, w_past):
-    """frob_mm's (h, b, const) for the sequential least-squares problem.
+    """torus_mm's (h, b, const) for the sequential least-squares problem.
 
     The block objective -2[wᴴ(|Σ_p|∘Σ_p)w + 2Re(w̄ᴴ(|Σ_pn|∘Σ_pn)w)
-    + w̄ᴴ(|Σ_n|∘Σ_n)w̄] in frob_mm's form: h = 2(|Σ_n|∘Σ_n),
+    + w̄ᴴ(|Σ_n|∘Σ_n)w̄] in torus_mm's form: h = 2(|Σ_n|∘Σ_n),
     b = 2(|Σ_pn|∘Σ_pn) w_past and const = -2 wᴴ(|Σ_p|∘Σ_p)w. Blocks may
     carry a leading stack axis (with w_past (B, p)).
     """
@@ -372,13 +396,13 @@ def solve_seq_frob(
     the p past phases fixed.
 
     Iterates w̄⁺ = Φ( (|Σ_pn|∘Σ_pn) w_past + (|Σ_n|∘Σ_n) w̄ ) through
-    frob_mm; no matrix inversion or eigenvalue is needed. The reported cost
+    torus_mm; no matrix inversion or eigenvalue is needed. The reported cost
     is the block objective including its constant past term. The output is
     not re-anchored.
     """
     h, b, const = frob_seq_terms(blocks.past, blocks.cross, blocks.new, w_past)
-    return _single(frob_mm(h[None], b[None], np.atleast_1d(const), cfg,
-                           trace=True))
+    return _single(torus_mm(h[None], b[None], np.atleast_1d(const), cfg,
+                            trace=True))
 
 
 def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
@@ -387,40 +411,46 @@ def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
     With w_past None the fit is offline: phases are (B, l), anchored to the
     first date. With w_past (B, p) it is sequential over the last k = l - p
     dates given those past phases: phases are (B, k), not re-anchored.
-    Least-squares problems run together in one frob_mm call; spectral-fit
-    problems run solve_offline_kl, or the Schur factors of |Σ| and
-    solve_seq_kl, one by one. A problem whose solve raises a solver or
-    linear-algebra error gets NaN phases, 0 iterations and converged False;
-    the others are unaffected. May overwrite sigma.
+    Either objective runs as one torus_mm call over the whole stack.
+
+    numpy's stacked Cholesky fails for the whole stack when one |Σ| is not
+    positive definite, so such a spectral-fit stack is rerun one problem at
+    a time, each with pd_inverse's jitter rescue. A problem that still
+    raises a solver or linear-algebra error gets NaN phases, 0 iterations
+    and converged False; the others are unaffected, since no problem's
+    result depends on the rest of its stack. May overwrite sigma.
     """
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}; choose from {DISTANCES}")
-    p = 0 if w_past is None else np.shape(w_past)[-1]
+    if w_past is not None:
+        w_past = np.asarray(w_past, dtype=complex)
     if distance == "frob":
         if w_past is not None:
-            return frob_mm(*frob_seq_terms(sigma[:, :p, :p], sigma[:, p:, :p],
-                                           sigma[:, p:, p:], w_past), cfg)
+            blocks = partition(sigma, w_past.shape[-1])
+            return torus_mm(*frob_seq_terms(blocks.past, blocks.cross,
+                                            blocks.new, w_past), cfg)
         # H = 2(|Σ|∘Σ) as in solve_offline_frob, built in place
         sigma *= abs_entrywise(sigma)
         sigma *= 2.0
-        batch = frob_mm(sigma, 0.0, 0.0, cfg)
+        batch = torus_mm(sigma, 0.0, 0.0, cfg)
         batch.phases = anchor_reference(batch.phases)
         return batch
+    try:
+        # no jitter here: a rescue would jitter every problem of the stack
+        return _fit_kl(sigma, cfg, w_past, jitter=0.0)
+    except (SeqlinkError, np.linalg.LinAlgError):
+        pass
     count = len(sigma)
+    p = 0 if w_past is None else w_past.shape[-1]
     batch = BatchReport(np.full((count, sigma.shape[-1] - p), np.nan, dtype=complex),
                         np.zeros(count, dtype=int), np.zeros(count, dtype=bool))
     for i in range(count):
         try:
-            if w_past is not None:
-                blocks = partition(sigma[i], p)
-                factors = schur_factors(abs_entrywise(sigma[i]), p,
-                                        sigma_new=blocks.new)
-                report = solve_seq_kl(blocks, factors, w_past[i], cfg)
-            else:
-                report = solve_offline_kl(sigma[i], cfg)
+            one = _fit_kl(sigma[i:i + 1], cfg,
+                          None if w_past is None else w_past[i:i + 1])
         except (SeqlinkError, np.linalg.LinAlgError):
             continue
-        batch.phases[i] = report.phases
-        batch.iterations[i] = report.iterations
-        batch.converged[i] = report.converged
+        batch.phases[i] = one.phases[0]
+        batch.iterations[i] = one.iterations[0]
+        batch.converged[i] = one.converged[0]
     return batch

@@ -221,24 +221,63 @@ def test_multiblock_failed_chained_step_excludes_the_trial_from_every_arm(
                     n_grid=(32,), distance="frob")
     assert all(row.excluded == 0 for row in multiblock_experiment(cfg))
     fit = seqlink.bench.fit
-    chained_steps = []
+    chained_rows = []
 
     def failing_fit(sigma, solver, distance, w_past=None):
         batch = fit(sigma, solver, distance, w_past)
         # only the chained arm fits new dates given the first block's 4
         if w_past is not None and w_past.shape[-1] == 4:
-            chained_steps.append(len(chained_steps))
-            if len(chained_steps) == 3:  # trial 2, as trials run in order
-                batch.phases[:] = np.nan
-                batch.iterations[:] = 0
-                batch.converged[:] = False
+            first = len(chained_rows)
+            chained_rows.extend(range(first, first + len(sigma)))
+            if first <= 2 < first + len(sigma):  # trial 2: trials stack in order
+                batch.phases[2 - first] = np.nan
+                batch.iterations[2 - first] = 0
+                batch.converged[2 - first] = False
         return batch
 
     monkeypatch.setattr(seqlink.bench, "fit", failing_fit)
     rows = multiblock_experiment(cfg)
-    assert len(chained_steps) == cfg.trials
+    assert chained_rows == list(range(cfg.trials))
     assert [(row.mode, row.excluded) for row in rows] == [
         (arm, 1) for arm in MULTIBLOCK_ARMS]
+
+
+def test_failed_past_fit_excludes_only_its_trial_and_is_never_continued(
+        monkeypatch):
+    cfg = small_cfg(mode="sequential", trials=5, n_grid=(24,))
+    clean = trial_errors(cfg, 24)
+    assert not np.isnan(clean).any()
+    fit = seqlink.bench.fit
+    sequential_calls = []
+
+    def failing_fit(sigma, solver, distance, w_past=None):
+        batch = fit(sigma, solver, distance, w_past)
+        if w_past is not None:
+            sequential_calls.append(w_past.copy())
+        elif sigma.shape[-1] == cfg.sim.p:  # the past fit: fail trial 3
+            batch.phases[3] = np.nan
+            batch.iterations[3] = 0
+            batch.converged[3] = False
+        return batch
+
+    monkeypatch.setattr(seqlink.bench, "fit", failing_fit)
+    errors = trial_errors(cfg, 24)
+    assert len(sequential_calls) == 1
+    assert sequential_calls[0].shape == (cfg.trials - 1, cfg.sim.p)
+    assert not np.isnan(sequential_calls[0]).any()
+    assert np.isnan(errors[3])
+    kept = np.arange(cfg.trials) != 3
+    assert np.array_equal(errors[kept], clean[kept])
+
+
+def test_kl_multiblock_csv_identical_across_thread_counts():
+    cfg = small_cfg(sim=SimulationConfig(l=8, p=6, k=2, rho=0.9, n=32),
+                    mode="multiblock", sizes=(4, 2, 2), trials=7,
+                    n_grid=(12, 32))
+    one = rows_to_csv(multiblock_experiment(cfg, threads=1))
+    assert "nan" not in one
+    for threads in (2, 3):
+        assert rows_to_csv(multiblock_experiment(cfg, threads=threads)) == one
 
 
 def test_multiblock_dispatch_through_mc_mse_experiment():

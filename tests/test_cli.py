@@ -17,6 +17,7 @@ from seqlink import (
     read_stack,
     write_stack,
 )
+from seqlink.blas import blas_pinnable
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -120,6 +121,7 @@ def test_offline_solve_reports_small_error_on_noiseless_scene(scene):
     record = read_manifest(scene / "offline.csv.manifest.txt")
     assert float(record["error.max_interior"]) < 1e-5
     assert record["pixels.nonconverged"] == "0"
+    assert record["blas.pinned"] == ("yes" if blas_pinnable() else "no")
     assert 1 <= float(record["iterations.p50"]) <= int(record["iterations.max"])
     raster = read_phase_raster(out)
     assert raster.count == 6
@@ -222,6 +224,7 @@ def test_bench_writes_csv_and_manifest(tmp_path):
     record = read_manifest(tmp_path / "b.csv.manifest.txt")
     assert record["command"] == "bench"
     assert record["rows"] == "4"
+    assert record["blas.pinned"] == ("yes" if blas_pinnable() else "no")
     assert record["config.experiment_0.distance"] == "kl"
     assert record["config.experiment_1.mode"] == "sequential"
 
@@ -268,10 +271,10 @@ def test_timing_emits_csv_row(tmp_path):
                      "--out", out)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0] == "p,k,distance,seq_ms,offline_ms,ratio"
+    assert lines[0] == "p,k,distance,seq_ms,offline_ms,ratio,seq_fit_ms"
     fields = lines[1].split(",")
     assert fields[:3] == ["8", "2", "kl"]
-    seq_ms, offline_ms, ratio = map(float, fields[3:])
+    seq_ms, offline_ms, ratio = map(float, fields[3:6])
     assert seq_ms > 0 and offline_ms > 0
     assert ratio == pytest.approx(seq_ms / offline_ms)
     assert out.read_text() == result.stdout
@@ -283,9 +286,11 @@ def test_timing_runs_one_row_per_past_length(tmp_path):
                      "--out", out)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0] == "p,k,distance,seq_ms,offline_ms,ratio"
+    assert lines[0] == "p,k,distance,seq_ms,offline_ms,ratio,seq_fit_ms"
     assert [line.split(",")[:3] for line in lines[1:]] == [
         ["8", "2", "kl"], ["12", "2", "kl"]]
+    # the sequential update timed as one fit call, Schur factors included
+    assert all(float(line.split(",")[6]) > 0 for line in lines[1:])
     assert out.read_text() == result.stdout
     manifest = read_manifest(f"{out}.manifest.txt")
     assert manifest["p"] == "8,12" and manifest["status"] == "ok"

@@ -2,6 +2,7 @@
 checks against the generative model, and determinism contracts."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from seqlink import (
     NotPositiveDefinite,
@@ -26,6 +27,12 @@ from seqlink import (
 def test_toeplitz_coherence_small_closed_form():
     expected = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
     assert np.array_equal(toeplitz_coherence(3, 0.5), expected)
+
+
+@pytest.mark.parametrize("l, rho", [(1, 0.5), (7, 0.9), (40, 0.98), (105, 0.3)])
+def test_toeplitz_coherence_is_bitwise_scipy_toeplitz(l, rho):
+    assert np.array_equal(toeplitz_coherence(l, rho),
+                          scipy.linalg.toeplitz(rho ** np.arange(l)))
 
 
 def test_toeplitz_coherence_first_offdiagonal_is_rho():

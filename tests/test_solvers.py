@@ -14,7 +14,7 @@ from seqlink import (
     estimate,
     fit,
     frob_cost_block,
-    frob_mm,
+    torus_mm,
     ground_truth,
     kl_cost_block,
     kl_cost_full,
@@ -30,6 +30,7 @@ from seqlink import (
     solve_seq_frob,
     solve_seq_kl,
 )
+import seqlink.solvers
 from seqlink.bench import BENCH_SOLVER
 from seqlink.solvers import frob_seq_terms
 
@@ -459,7 +460,7 @@ def test_fast_kl_iteration_counts_stay_low():
 
 
 # ---------------------------------------------------------------------------
-# frob_mm: the stacked least-squares kernel
+# torus_mm on least-squares problems
 
 
 def frob_problems(rng, count, k=6, p=5):
@@ -491,14 +492,14 @@ def test_frob_mm_result_does_not_depend_on_the_batch():
     h, b, const = frob_problems(rng, 12)
     # a budget that some problems exhaust and others do not
     cfg = MMConfig(max_iters=300, tol=1e-8)
-    alone = [frob_mm(h[i:i + 1], b[i:i + 1], const[i:i + 1], cfg, trace=True)
+    alone = [torus_mm(h[i:i + 1], b[i:i + 1], const[i:i + 1], cfg, trace=True)
              for i in range(12)]
     assert len({int(a.iterations[0]) for a in alone}) > 3
     assert {bool(a.converged[0]) for a in alone} == {True, False}
     batches = [np.arange(12), np.arange(12)[::-1], rng.permutation(12)[:5],
                np.array([3, 3, 7]), rng.permutation(12)[:2]]
     for members in batches:
-        batch = frob_mm(h[members], b[members], const[members], cfg,
+        batch = torus_mm(h[members], b[members], const[members], cfg,
                         trace=True)
         for j, i in enumerate(members):
             assert np.array_equal(batch.phases[j], alone[i].phases[0])
@@ -523,7 +524,7 @@ def test_frob_mm_cost_trace_never_rises_and_is_the_objective():
             np.array([bl.cross for bl in blocks]),
             np.array([bl.new for bl in blocks]), w_past)
         cfg = MMConfig(max_iters=40, tol=0.0, init=random_torus(rng, k))
-        batch = frob_mm(h, b, const, cfg, trace=True)
+        batch = torus_mm(h, b, const, cfg, trace=True)
         for j, bl in enumerate(blocks):
             trace = batch.cost_trace[:, j]
             worst = max(worst, float(np.max(np.diff(trace)) / abs(trace[0])))
@@ -536,9 +537,113 @@ def test_frob_mm_keeps_the_previous_iterate_on_zero_coefficients():
     h = np.zeros((2, 3, 3), dtype=complex)
     h[:, :2, :2] = [[2.0, 1.0], [1.0, 2.0]]
     start = np.exp(1j * np.array([0.3, -0.2, 1.1]))
-    batch = frob_mm(h, 0.0, 0.0, MMConfig(max_iters=50, tol=1e-14, init=start))
+    batch = torus_mm(h, 0.0, 0.0, MMConfig(max_iters=50, tol=1e-14, init=start))
     assert np.array_equal(batch.phases[:, 2], np.full(2, start[2]))
     assert batch.converged.all()
+
+
+def reference_plain_mm(h, b, const, cfg):
+    """Plain least-squares MM on one problem, written out step by step:
+    the bordered matrix [[H, b], [bᴴ, -const]], w⁺ = Φ(H w + b) keeping w on
+    zero coefficients, and MMConfig's stopping rule. The arithmetic torus_mm
+    must keep without a shift. Returns (phases, iterations, converged)."""
+    dim = len(h)
+    mat = np.empty((1, dim + 1, dim + 1), dtype=complex)
+    mat[0, :dim, :dim] = h
+    mat[0, :dim, dim] = b
+    mat[0, dim, :dim] = np.conj(b)
+    mat[0, dim, dim] = -const
+    w = np.ones((1, dim + 1), dtype=complex)
+    if cfg.init is not None:
+        w[0, :dim] = cfg.init
+    u = np.matvec(mat, w)
+    gain = np.vecdot(w, u).real[0]
+    for step in range(1, cfg.max_iters + 1):
+        v = u[:, :dim]
+        mod = np.abs(v)
+        np.divide(v, mod, out=w[:, :dim], where=mod > 0)
+        u = np.matvec(mat, w)
+        prev, gain = gain, np.vecdot(w, u).real[0]
+        if abs(gain - prev) <= cfg.tol * max(1.0, abs(gain)):
+            return w[0, :dim], step, True
+    return w[0, :dim], cfg.max_iters, False
+
+
+def test_frob_mm_without_shift_is_the_reference_plain_mm():
+    rng = np.random.default_rng(82)
+    h, b, const = frob_problems(rng, 12)
+    for cfg in (MMConfig(max_iters=300, tol=1e-8),
+                MMConfig(max_iters=40, tol=0.0, init=random_torus(rng, 6))):
+        batch = torus_mm(h, b, const, cfg)
+        for i in range(12):
+            phases, iterations, converged = reference_plain_mm(
+                h[i], b[i], const[i], cfg)
+            assert np.array_equal(batch.phases[i], phases)
+            assert batch.iterations[i] == iterations
+            assert batch.converged[i] == converged
+
+
+# ---------------------------------------------------------------------------
+# torus_mm on spectral-fit problems: shifted steps, restarted momentum
+
+
+def test_momentum_traces_never_rise_with_restarts_at_different_steps(
+        monkeypatch):
+    rng = np.random.default_rng(92)
+    l, count = 10, 8
+    sigma = np.array([scm(random_stack(rng, 2 * l, l)) for _ in range(count)])
+    h = pd_inverse(abs_entrywise(sigma)) * sigma
+    lam = np.linalg.eigvalsh(h)[:, -1]
+    starts = np.array([random_torus(rng, l) for _ in range(count)])
+    cfg = MMConfig(max_iters=400, tol=0.0)
+    calls = []
+    step = seqlink.solvers._shifted_step
+
+    def counted_step(mat, *args):
+        calls.append(len(mat))
+        return step(mat, *args)
+
+    monkeypatch.setattr(seqlink.solvers, "_shifted_step", counted_step)
+    restarts = []
+    for i in range(count):
+        calls.clear()
+        one = torus_mm(-h[i:i + 1], 0.0, 0.0, cfg, shift=lam[i:i + 1],
+                       w0=starts[i:i + 1])
+        # one step per iteration, plus one plain step per restart
+        restarts.append(len(calls) - int(one.iterations[0]))
+    assert min(restarts) > 0 and len(set(restarts)) > 1
+    batch = torus_mm(-h, 0.0, 0.0, cfg, trace=True, shift=lam, w0=starts)
+    for j in range(count):
+        trace = batch.cost_trace[:, j]
+        trace = trace[~np.isnan(trace)]
+        assert np.max(np.diff(trace) / np.abs(trace[:-1])) <= 1e-9
+
+
+@pytest.mark.parametrize("sequential", [False, True])
+def test_kl_fit_rows_are_their_single_solves_in_any_batch(sequential):
+    rng = np.random.default_rng(91)
+    l, p, count = 7, 5, 10
+    specs = (PluginSpec(), PluginSpec("po"),
+             PluginSpec(regularizer="shrink", beta=0.5))
+    sigma = np.array([estimate(random_stack(rng, 2 * l, l), specs[i % 3])
+                      for i in range(count)])
+    w_past = (np.array([random_torus(rng, p) for _ in range(count)])
+              if sequential else None)
+    # a budget that some problems exhaust and others do not
+    cfg = MMConfig(max_iters=20 if sequential else 38, tol=1e-13)
+    alone = [single_solve(sigma[i], "kl",
+                          None if w_past is None else w_past[i], cfg)
+             for i in range(count)]
+    assert len({a.iterations for a in alone}) > 3
+    assert {a.converged for a in alone} == {True, False}
+    for members in (np.arange(count), np.arange(count)[::-1],
+                    rng.permutation(count)[:4], np.array([2, 2, 7])):
+        batch = fit(sigma[members], cfg, "kl",
+                    None if w_past is None else w_past[members])
+        for j, i in enumerate(members):
+            assert np.array_equal(batch.phases[j], alone[i].phases)
+            assert batch.iterations[j] == alone[i].iterations
+            assert batch.converged[j] == alone[i].converged
 
 
 # ---------------------------------------------------------------------------
