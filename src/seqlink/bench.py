@@ -3,11 +3,14 @@ sequential fitting, multi-block error propagation, and wall-clock timing of
 one solve at large stack depths.
 
 Every trial owns a seed derived from (master_seed, n, trial index), so curves
-for different modes, distances, and plug-ins are paired draw-for-draw. The
-trials' plug-ins are stacked and each solve stage (offline, past then
-sequential, each chained block) is one solvers.fit call over all of them;
-since no problem's result depends on the rest of its stack, results do not
-depend on worker count or scheduling order either.
+for different modes, distances, and plug-ins are paired draw-for-draw. Each
+mode is a set of arms, and each arm a chain of date bounds: the first fitted
+offline, each later one sequentially given the fit before it. One worker
+stacks the trials' plug-ins for every bound and fits each link of each chain
+as one solvers.fit call over all of them; a trial that fails in any arm is
+excluded from every arm, and one vectorized scorer measures the kept trials'
+errors against date 0. Since no problem's result depends on the rest of its
+stack, results do not depend on worker count or scheduling order either.
 """
 from __future__ import annotations
 
@@ -168,10 +171,78 @@ def _fit(cfg, sigma, w_past=None):
     return out
 
 
-def _trial_chunks(trials: int, threads: int):
-    """Contiguous chunks of the trial indices, one per worker thread."""
-    return [chunk for chunk in np.array_split(np.arange(trials), threads)
-            if chunk.size]
+def _arms(cfg: ExperimentConfig):
+    """The mode's arms, each a chain of date bounds, and the first scored
+    date: every date from it to the last is scored against date 0.
+
+    Offline and sequential modes score the last date. Multiblock mode scores
+    the final block, estimated three ways: "offline" fits all dates at once,
+    "sequential" fits the final block given an offline fit of everything
+    before it, and "chained" bootstraps from an offline fit of the first
+    block, then adds the blocks one by one.
+    """
+    l = cfg.sim.l
+    if cfg.mode == "offline":
+        return {"offline": (l,)}, l - 1
+    if cfg.mode == "sequential":
+        # the past fit only ever sees the past dates' samples
+        return {"sequential": (cfg.sim.p, l)}, l - 1
+    p_last = l - cfg.sizes[-1]
+    chains = ((l,), (p_last, l), tuple(accumulate(cfg.sizes)))
+    return dict(zip(MULTIBLOCK_ARMS, chains)), p_last
+
+
+def _scored_errors(theta_hat: np.ndarray, w_true: np.ndarray,
+                   first: int) -> np.ndarray:
+    """Per row of a (T, l) phase stack, the mean over dates first..l-1 of
+    phase_diff_error against date 0.
+
+    The complex products are spelled out in real arithmetic: numpy's complex
+    multiply rounds differently in its vector loops, and which entries those
+    reach depends on the stack's shape, so the errors would depend on how
+    the trials are chunked over threads. The order is that of numpy's scalar
+    multiply, which phase_diff_error uses.
+    """
+    def times_conj(ar, ai, br, bi):  # a·conj(b) as (real, imag)
+        return ar * br + ai * bi, ai * br - ar * bi
+
+    hat, hat0 = theta_hat[:, first:], theta_hat[:, :1]
+    true, true0 = w_true[first:], w_true[:1]
+    hat_re, hat_im = times_conj(hat.real, hat.imag, hat0.real, hat0.imag)
+    true_re, true_im = times_conj(true.real, true.imag, true0.real, true0.imag)
+    re, im = times_conj(hat_re, hat_im, true_re, true_im)
+    return np.mean(np.arctan2(im, re) ** 2, axis=1)
+
+
+def _arm_errors(cfg: ExperimentConfig, n: int, threads: int) -> dict:
+    """Per arm of the mode, the per-trial errors at one sample size. All arms
+    share each trial's draw, and a trial that fails in any arm is excluded
+    (NaN) from every arm."""
+    arms, first = _arms(cfg)
+    bounds = sorted({bound for chain in arms.values() for bound in chain})
+    _, w_true, sigma_true = ground_truth(cfg.sim)
+    errors = {arm: np.full(cfg.trials, np.nan) for arm in arms}
+    # contiguous chunks of the trial indices, one per worker thread
+    chunks = [chunk for chunk in np.array_split(np.arange(cfg.trials), threads)
+              if chunk.size]
+
+    def worker(index: int) -> None:
+        trials = chunks[index]
+        sigma = _plugin_stacks(cfg, sigma_true, n, trials, bounds)
+        theta_hat = {}
+        for arm, chain in arms.items():
+            phases = None  # the first link is offline
+            for bound in chain:
+                phases = _fit(cfg, sigma[bound], phases)
+            theta_hat[arm] = phases
+        kept = ~np.any([np.isnan(rows).any(axis=1)
+                        for rows in theta_hat.values()], axis=0)
+        for arm, rows in theta_hat.items():
+            errors[arm][trials[kept]] = _scored_errors(rows[kept], w_true,
+                                                       first)
+
+    _run_rows(len(chunks), worker, threads)
+    return errors
 
 
 def trial_errors(cfg: ExperimentConfig, n: int, threads: int = 1) -> np.ndarray:
@@ -179,25 +250,7 @@ def trial_errors(cfg: ExperimentConfig, n: int, threads: int = 1) -> np.ndarray:
     trials); offline/sequential measure the first-to-last phase difference."""
     if cfg.mode == "multiblock":
         raise ValueError("use multiblock_experiment for multiblock configs")
-    _, w_true, sigma_true = ground_truth(cfg.sim)
-    l, p = cfg.sim.l, cfg.sim.p
-    errors = np.full(cfg.trials, np.nan)
-    chunks = _trial_chunks(cfg.trials, threads)
-
-    def worker(index: int) -> None:
-        trials = chunks[index]
-        if cfg.mode == "offline":
-            sigma = _plugin_stacks(cfg, sigma_true, n, trials, (l,))
-            theta_hat = _fit(cfg, sigma[l])
-        else:
-            # the past fit only ever saw the past dates' samples
-            sigma = _plugin_stacks(cfg, sigma_true, n, trials, (p, l))
-            theta_hat = _fit(cfg, sigma[l], _fit(cfg, sigma[p]))
-        for trial, row in zip(trials, theta_hat):
-            if not np.isnan(row).any():
-                errors[trial] = phase_diff_error(row, w_true, 0, l - 1)
-
-    _run_rows(len(chunks), worker, threads)
+    (errors,) = _arm_errors(cfg, n, threads).values()
     return errors
 
 
@@ -218,70 +271,19 @@ def _aggregate(cfg: ExperimentConfig, mode_label: str, n: int,
 
 
 def mc_mse_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[MseRow]:
-    """MSE rows over cfg.n_grid (sorted ascending), one per sample size."""
-    if cfg.mode == "multiblock":
-        return multiblock_experiment(cfg, threads)
-    rows = []
-    for n in sorted(cfg.n_grid):
-        errors = trial_errors(cfg, n, threads)
-        rows.append(_aggregate(cfg, cfg.mode, n, errors))
-    return rows
-
-
-def _final_block_error(theta_hat, w_true, first_final: int) -> float:
-    """Mean squared wrapped error of the final block's phases vs date 1."""
-    l = w_true.size
-    errs = [phase_diff_error(theta_hat, w_true, i, 0)
-            for i in range(first_final, l)]
-    return float(np.mean(errs))
+    """MSE rows over cfg.n_grid (sorted ascending): one per sample size and
+    arm of the mode (see _arms), the arms in order within each size."""
+    return [_aggregate(cfg, arm, n, errors)
+            for n in sorted(cfg.n_grid)
+            for arm, errors in _arm_errors(cfg, n, threads).items()]
 
 
 def multiblock_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[MseRow]:
-    """Growing-archive study: the final block estimated three ways.
-
-    Arms: "offline" fits all dates at once; "sequential" fits the final block
-    given an offline fit of everything before it; "chained" bootstraps from an
-    offline fit of the first block only, then applies the sequential solver
-    block by block. All arms share each trial's draw, and a trial that fails
-    in any arm is excluded from every arm.
-    """
+    """Growing-archive study: the final block estimated by each of
+    MULTIBLOCK_ARMS (see _arms), one row per sample size and arm."""
     if cfg.mode != "multiblock":
         raise ValueError("config mode must be 'multiblock'")
-    sizes = cfg.sizes
-    l = cfg.sim.l
-    p_last = l - sizes[-1]
-    bounds = list(accumulate(sizes))
-    _, w_true, sigma_true = ground_truth(cfg.sim)
-    chunks = _trial_chunks(cfg.trials, threads)
-    rows = []
-    for n in sorted(cfg.n_grid):
-        errors = {arm: np.full(cfg.trials, np.nan) for arm in MULTIBLOCK_ARMS}
-
-        def worker(index: int) -> None:
-            trials = chunks[index]
-            sigma = _plugin_stacks(cfg, sigma_true, n, trials,
-                                   sorted({p_last, *bounds}))
-            chained = _fit(cfg, sigma[bounds[0]])
-            for bound in bounds[1:]:
-                chained = _fit(cfg, sigma[bound], chained)
-            theta_hat = {
-                "offline": _fit(cfg, sigma[l]),
-                "sequential": _fit(cfg, sigma[l], _fit(cfg, sigma[p_last])),
-                "chained": chained,
-            }
-            failed = np.zeros(len(trials), dtype=bool)
-            for arm in MULTIBLOCK_ARMS:
-                failed |= np.isnan(theta_hat[arm]).any(axis=1)
-            for j, trial in enumerate(trials):
-                if not failed[j]:
-                    for arm in MULTIBLOCK_ARMS:
-                        errors[arm][trial] = _final_block_error(
-                            theta_hat[arm][j], w_true, p_last)
-
-        _run_rows(len(chunks), worker, threads)
-        for arm in MULTIBLOCK_ARMS:
-            rows.append(_aggregate(cfg, arm, n, errors[arm]))
-    return rows
+    return mc_mse_experiment(cfg, threads)
 
 
 def timing_experiment(

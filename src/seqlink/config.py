@@ -22,10 +22,6 @@ _INT_KEYS = frozenset({
 })
 _FLOAT_KEYS = frozenset({"rho", "nu", "total_phase", "solver_tol"})
 _BOOL_KEYS = frozenset({"noiseless", "inject_truth"})
-_STR_KEYS = frozenset({
-    "distribution", "estimator", "regularizer", "distance", "mode", "out",
-    "truth_out",
-})
 _INT_LIST_KEYS = frozenset({"n_grid", "sizes"})
 
 _SIM_KEYS = frozenset({"l", "p", "k", "rho", "nu", "distribution", "n",

@@ -90,15 +90,6 @@ class SolveReport:
 phase_project = unit_phasors
 
 
-def _project_keep(v: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """phase_project, but zero coefficients keep the previous iterate (the
-    monotone-descent rule of the module docstring)."""
-    mod = np.abs(v)
-    out = previous.copy()
-    np.divide(v, mod, out=out, where=mod > 0)
-    return out
-
-
 def anchor_reference(w: np.ndarray) -> np.ndarray:
     """Rotate a torus vector so the first entry is exactly 1 (reference
     date has phase zero); pairwise phase differences are unchanged. A
@@ -109,10 +100,6 @@ def anchor_reference(w: np.ndarray) -> np.ndarray:
     out = w * np.conj(w[..., :1])
     out[..., 0] = 1.0
     return out
-
-
-def _stopped(cost_now: float, cost_prev: float, tol: float) -> bool:
-    return abs(cost_now - cost_prev) <= tol * max(1.0, abs(cost_now))
 
 
 def _next_t(t):
@@ -138,13 +125,8 @@ class BatchReport:
 
 
 def _stopped_each(gain, prev, tol: float):
-    """Mask of the problems whose cost settled (_stopped on each), or None
-    if none did. A single problem is tested on Python floats: the same rule
-    without numpy's per-call overhead, which dominates one small solve.
-    """
-    if gain.size == 1:
-        settled = _stopped(gain.item(), prev.item(), tol)
-        return np.ones(1, dtype=bool) if settled else None
+    """Mask of the problems whose cost settled under MMConfig's rule, or
+    None if none did."""
     done = np.abs(gain - prev) <= tol * np.maximum(1.0, np.abs(gain))
     return done if np.count_nonzero(done) else None
 
@@ -322,11 +304,7 @@ def _fit_kl(sigma, cfg, w_past, jitter=DEFAULT_JITTER,
     return _seq_kl(*kl_seq_terms(blocks, factors, w_past), cfg, trace)
 
 
-def solve_offline_kl(
-    sigma: np.ndarray,
-    cfg: MMConfig = MMConfig(),
-    jitter: float = DEFAULT_JITTER,
-) -> SolveReport:
+def solve_offline_kl(sigma: np.ndarray, cfg: MMConfig = MMConfig()) -> SolveReport:
     """Full-stack MM under the spectral-fit objective wᴴ(Ψ⁻¹∘Σ)w.
 
     The convex quadratic form is majorized by its linearization shifted by
@@ -334,8 +312,7 @@ def solve_offline_kl(
     with restarted momentum from the EMI start unless cfg.init is set (see
     torus_mm and fit). Output is anchored to the first date.
     """
-    return _single(_fit_kl(np.asarray(sigma)[None], cfg, None, jitter,
-                           trace=True))
+    return _single(_fit_kl(np.asarray(sigma)[None], cfg, None, trace=True))
 
 
 def solve_offline_frob(sigma: np.ndarray, cfg: MMConfig = MMConfig()) -> SolveReport:

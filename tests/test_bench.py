@@ -18,7 +18,7 @@ from seqlink import (
     timing_experiment,
     trial_errors,
 )
-from seqlink.bench import _aggregate
+from seqlink.bench import _aggregate, _scored_errors
 
 
 def small_cfg(**overrides):
@@ -66,6 +66,28 @@ def test_phase_diff_error_validates_inputs():
         phase_diff_error(w, w, 0, 3)
     with pytest.raises(ValueError):
         phase_diff_error(w, np.ones(4, dtype=complex), 0, 1)
+
+
+def test_scored_errors_match_phase_diff_error_loops():
+    rng = np.random.default_rng(5)
+    l, k = 9, 3
+    true = np.exp(1j * rng.uniform(-np.pi, np.pi, l))
+    hat = np.exp(1j * rng.uniform(-np.pi, np.pi, (40, l)))
+    # rows 0 and 1: the last date's error sits at the +-pi wrap boundary
+    hat[:2] = true
+    hat[0, -1] = -true[-1]
+    hat[1, -1] = true[-1] * np.exp(1j * (np.pi + 1e-9))
+    for first in (l - 1, l - k):  # the last date; a final block of k dates
+        scored = _scored_errors(hat, true, first)
+        loops = [np.mean([phase_diff_error(row, true, i, 0)
+                          for i in range(first, l)]) for row in hat]
+        assert np.allclose(scored, loops, rtol=0.0, atol=1e-12)
+        # a row's error must not depend on the stack it is scored in, or
+        # bench results would depend on the thread count
+        singles = [_scored_errors(row[None], true, first)[0] for row in hat]
+        assert np.array_equal(singles, scored)
+    assert np.allclose(_scored_errors(hat[:2], true, l - 1), np.pi**2,
+                       rtol=0.0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +171,11 @@ def test_trial_errors_deterministic_and_seed_sensitive():
 
 
 def test_csv_output_identical_across_thread_counts():
-    cfg = small_cfg(mode="sequential")
-    one = rows_to_csv(mc_mse_experiment(cfg, threads=1))
-    four = rows_to_csv(mc_mse_experiment(cfg, threads=4))
-    assert one == four
+    for mode in ("offline", "sequential"):
+        cfg = small_cfg(mode=mode)
+        one = rows_to_csv(mc_mse_experiment(cfg, threads=1))
+        four = rows_to_csv(mc_mse_experiment(cfg, threads=4))
+        assert one == four
 
 
 def test_offline_and_sequential_trials_share_draws():
