@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_blas_thread
+
 ESTIMATORS = ("scm", "po")
 REGULARIZERS = ("none", "shrink", "taper")
 
@@ -142,10 +144,17 @@ def window_estimates(data: np.ndarray, row: int, win: int,
     an (l, height, width) stack, as a (width, l, l) array.
 
     Equals estimate() on sliding-window samples up to summation order. One
-    stacked matmul sums each column's outer products over the window rows;
-    those column terms are then added over the window columns in ascending
-    order, starting from zero, and divided by the clipped area, so
-    O(l^2 win width) work per row instead of O(l^2 win^2 width).
+    stacked matmul sums each column's outer products over the window rows.
+    Those column terms are then summed over the window columns by products
+    with a 0/1 band matrix on their real view, one tile of win output
+    columns at a time, so the work is O(l^2 win) per pixel instead of
+    O(l^2 win^2) and no width x width matrix is built. The sums are scaled
+    by 0.5 / (clipped area), which gives the same bits as dividing by the
+    area and halving after the Hermitian symmetrization.
+
+    The band products run on one BLAS thread, since their rounding can
+    depend on the BLAS thread count; so the result is the same whether or
+    not the caller holds blas.single_blas_thread.
     """
     if win < 1:
         raise ValueError("win must be >= 1")
@@ -157,19 +166,23 @@ def window_estimates(data: np.ndarray, row: int, win: int,
         band = unit_phasors(band)
     # (width, window rows, l): each column's window rows form one matrix
     cols = np.ascontiguousarray(band.transpose(2, 1, 0))
-    terms = np.matmul(cols.transpose(0, 2, 1), cols.conj())
-    half = win // 2
-    sigma = np.zeros((width, l, l), dtype=complex)
-    # window offset d adds column col - half + d to pixel col
-    for d in range(max(0, half - width + 1), min(win, half + width)):
-        first, last = max(0, half - d), min(width, width + half - d)
-        sigma[first:last] += terms[first - half + d:last - half + d]
-    sigma /= ((r_stop[row] - r_start[row]) * (c_stop - c_start))[:, None, None]
+    sigma = np.empty((width, l, l), dtype=complex)
+    flat = sigma.view(float).reshape(width, -1)
+    with single_blas_thread():
+        terms = np.matmul(cols.transpose(0, 2, 1), cols.conj())
+        terms_flat = terms.view(float).reshape(width, -1)
+        for first in range(0, width, win):
+            last = min(first + win, width)
+            taps = np.arange(c_start[first], c_stop[last - 1])
+            ones = ((taps >= c_start[first:last, None])
+                    & (taps < c_stop[first:last, None])).astype(float)
+            np.matmul(ones, terms_flat[taps[0]:taps[-1] + 1],
+                      out=flat[first:last])
+    flat *= (0.5 / ((r_stop[row] - r_start[row]) * (c_stop - c_start)))[:, None]
     # BLAS does not guarantee exact conjugate symmetry; enforce it (the
     # column terms are spent, so their buffer holds the conjugate)
     np.conjugate(sigma.transpose(0, 2, 1), out=terms)
     sigma += terms
-    sigma /= 2
     if spec.estimator == "po":
         sigma[:, np.arange(l), np.arange(l)] = 1.0
     return _regularize(sigma, spec)

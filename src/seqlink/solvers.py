@@ -124,10 +124,11 @@ class BatchReport:
     cost_trace: np.ndarray | None = None
 
 
-def _stopped_each(gain, prev, tol: float):
-    """Mask of the problems whose cost settled under MMConfig's rule, or
-    None if none did."""
+def _stopped_each(gain, prev, tol: float, live):
+    """Mask of the live problems whose cost settled under MMConfig's rule,
+    or None if none did."""
     done = np.abs(gain - prev) <= tol * np.maximum(1.0, np.abs(gain))
+    done &= live
     return done if np.count_nonzero(done) else None
 
 
@@ -166,9 +167,12 @@ def torus_mm(h, b, const, cfg: MMConfig = MMConfig(), trace: bool = False,
     one.
 
     Problems start from w0 (B, k) when given, else from cfg's start vector,
-    and each stops under MMConfig's rule on its own cost; stopped problems
-    leave the active stack, so each result is the same whatever else is in
-    the batch.
+    and each stops under MMConfig's rule on its own cost, with its result
+    recorded at its stopping step. Stopped problems stay in the stack,
+    masked, until at least half of the rows it carries have stopped; then
+    the stack is compacted to the running ones, so it is copied a few times
+    per solve rather than at every step where a problem stops. Each result
+    is the same whatever else is in the batch.
     """
     count, dim = len(h), h.shape[-1]
     # bordered matrices [[H, b], [bᴴ, -const]]: with w̃ = (w, 1), the one
@@ -187,7 +191,8 @@ def torus_mm(h, b, const, cfg: MMConfig = MMConfig(), trace: bool = False,
     phases = np.empty((count, dim), dtype=complex)
     iterations = np.full(count, cfg.max_iters)
     converged = np.zeros(count, dtype=bool)
-    active = np.arange(count)
+    active = np.arange(count)  # the problem each stack row holds
+    live = np.ones(count, dtype=bool)  # stack rows not yet stopped
     u = np.matvec(mat, w)
     gain = np.vecdot(w, u).real
     costs = [-gain] if trace else None
@@ -215,7 +220,7 @@ def torus_mm(h, b, const, cfg: MMConfig = MMConfig(), trace: bool = False,
             np.divide(z, mod, out=y[:, :dim], where=mod > 0)
             nxt, product, nxt_gain = _shifted_step(mat, shift, y,
                                                    np.matvec(mat, y))
-            rise = nxt_gain < gain
+            rise = (nxt_gain < gain) & live
             if rise.any():
                 # restart: the plain step from w is the step at t = 1
                 nxt[rise], product[rise], nxt_gain[rise] = _shifted_step(
@@ -223,25 +228,25 @@ def torus_mm(h, b, const, cfg: MMConfig = MMConfig(), trace: bool = False,
                 t[rise] = _T_PLAIN
             w_prev, w, u, gain = w, nxt, product, nxt_gain
         if trace:
-            row = -gain
-            if active.size < count:  # NaN for problems that have stopped
-                row = np.full(count, np.nan)
-                row[active] = -gain
+            row = np.full(count, np.nan)  # NaN for problems that have stopped
+            row[active[live]] = -gain[live]
             costs.append(row)
-        done = _stopped_each(gain, prev, cfg.tol)
+        done = _stopped_each(gain, prev, cfg.tol, live)
         if done is not None:
             finished = active[done]
             phases[finished] = w[done, :dim]
             iterations[finished] = step
             converged[finished] = True
-            keep = ~done
-            active, mat, w, u, gain = (
-                x[keep] for x in (active, mat, w, u, gain))
-            if shift is not None:
-                shift, t, w_prev = shift[keep], t[keep], w_prev[keep]
-            if not active.size:
-                break
-    phases[active] = w[:, :dim]
+            live &= ~done
+            if 2 * np.count_nonzero(live) <= live.size:
+                active, mat, w, u, gain = (
+                    x[live] for x in (active, mat, w, u, gain))
+                if shift is not None:
+                    shift, t, w_prev = shift[live], t[live], w_prev[live]
+                live = live[live]
+                if not active.size:
+                    break
+    phases[active[live]] = w[live, :dim]
     return BatchReport(phases, iterations, converged,
                        None if costs is None else np.array(costs))
 

@@ -10,8 +10,8 @@ then row-major. Writing and re-reading reproduces entries bit-exactly.
 from __future__ import annotations
 
 import struct
-from array import array
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -136,24 +136,26 @@ def read_phase_raster(path) -> PhaseRaster:
         stack = read_stack(path)
         data = np.angle(stack.data)
         return PhaseRaster(data, failed=np.isnan(data).any(axis=0))
-    cells = array("d")
     with open(path) as fh:
-        header = next((line.strip() for line in fh if line.strip()), "")
+        lines = (line for line in fh if line.strip())
+        header = next(lines, "").strip()
         if not header.startswith("row,col,angle_0"):
             raise ValueError(f"{path}: not a phase raster file")
-        width = header.count(",") + 1
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != width:
-                if parts == [""]:
-                    continue
-                raise ValueError(f"{path}: malformed raster line {line.strip()!r}")
-            cells.extend((int(parts[0]), int(parts[1])))
-            cells.extend(map(float, parts[2:]))
-    if not cells:
-        raise ValueError(f"{path}: raster has no pixels")
-    cells = np.frombuffer(cells).reshape(-1, width)
-    rows, cols = cells[:, 0].astype(int), cells[:, 1].astype(int)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: raster has no pixels")
+        try:
+            cells = np.loadtxt(chain([first], lines), delimiter=",",
+                               comments=None, ndmin=2)
+        except ValueError as err:
+            raise ValueError(f"{path}: malformed raster line: {err}") from None
+    index = cells[:, :2]
+    if (cells.shape[1] != header.count(",") + 1
+            or not np.isfinite(index).all()
+            or (index != np.round(index)).any()):
+        raise ValueError(f"{path}: malformed raster lines (column count or "
+                         "pixel index)")
+    rows, cols = index.astype(int).T
     height, width = rows.max() + 1, cols.max() + 1
     if (min(rows.min(), cols.min()) < 0
             or np.unique(rows * width + cols).size != height * width):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlink import partition
+from seqlink.blas import single_blas_thread
 from seqlink.plugins import (
     PluginSpec,
     estimate,
@@ -14,6 +15,7 @@ from seqlink.plugins import (
     taper,
     taper_mask,
     unit_phasors,
+    window_bounds,
     window_estimates,
 )
 
@@ -274,6 +276,52 @@ def test_window_estimates_match_per_window_estimate(spec, win):
             oracle = sliding_oracle(data, row, col, win, spec)
             gap = np.max(np.abs(out[col] - oracle))
             assert gap <= 1e-12 * np.max(np.abs(oracle)), (row, col)
+
+
+def ascending_window_estimates(data, row, win, spec):
+    """window_estimates with the column terms added over each window's
+    columns in ascending order, starting from zero, then divided by the
+    clipped area and symmetrized."""
+    l, height, width = data.shape
+    r_start, r_stop = window_bounds(height, win)
+    c_start, c_stop = window_bounds(width, win)
+    band = data[:, r_start[row]:r_stop[row]]
+    if spec.estimator == "po":
+        band = unit_phasors(band)
+    cols = band.transpose(2, 1, 0)
+    terms = np.matmul(cols.transpose(0, 2, 1), cols.conj())
+    sigma = np.zeros((width, l, l), dtype=complex)
+    for col in range(width):
+        for c in range(c_start[col], c_stop[col]):
+            sigma[col] += terms[c]
+    sigma /= ((r_stop[row] - r_start[row]) * (c_stop - c_start))[:, None, None]
+    sigma = (sigma + sigma.conj().transpose(0, 2, 1)) / 2
+    if spec.estimator == "po":
+        sigma[:, np.arange(l), np.arange(l)] = 1.0
+    if spec.regularizer == "shrink":
+        sigma = shrink_to_identity(sigma, spec.beta)
+    return sigma
+
+
+@pytest.mark.parametrize("spec", [PluginSpec(est, reg, beta=0.7)
+                                  for est in ("scm", "po")
+                                  for reg in ("none", "shrink")],
+                         ids=lambda s: "-".join(s.label()))
+@pytest.mark.parametrize("l, height, width, win", [
+    (5, 4, 37, 1), (5, 4, 37, 2), (5, 6, 37, 3), (40, 12, 50, 11),
+    (5, 5, 9, 11), (105, 3, 23, 11), (35, 3, 65, 21)])
+def test_window_estimates_match_the_ascending_column_loop(spec, l, height,
+                                                          width, win):
+    rng = np.random.default_rng(37)
+    data = random_stack(rng, height * width, l).T.reshape(l, height, width)
+    data *= rng.uniform(0.1, 3.0, size=(1, height, width))  # uneven amplitudes
+    for row in sorted({0, height // 2, height - 1}):
+        out = window_estimates(data, row, win, spec)
+        oracle = ascending_window_estimates(data, row, win, spec)
+        assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+        # the band products run on one BLAS thread whoever calls
+        with single_blas_thread():
+            assert np.array_equal(window_estimates(data, row, win, spec), out)
 
 
 def test_window_estimates_one_sample_window_is_the_outer_product_bit_for_bit():

@@ -619,6 +619,102 @@ def test_momentum_traces_never_rise_with_restarts_at_different_steps(
         assert np.max(np.diff(trace) / np.abs(trace[:-1])) <= 1e-9
 
 
+def record_steps(monkeypatch):
+    """Patch torus_mm's momentum steps to log, per MM step from step 2 on,
+    the stack size of each shifted step: one entry, or two on a step whose
+    momentum restarted. Returns finish(), which undoes the patches and
+    returns the per-step lists."""
+    events = []
+    step, next_t = seqlink.solvers._shifted_step, seqlink.solvers._next_t
+
+    def logged_step(mat, *args):
+        events.append(len(mat))
+        return step(mat, *args)
+
+    def logged_t(t):
+        events.append("t")
+        return next_t(t)
+
+    monkeypatch.setattr(seqlink.solvers, "_shifted_step", logged_step)
+    monkeypatch.setattr(seqlink.solvers, "_next_t", logged_t)
+
+    def finish():
+        monkeypatch.undo()
+        steps, current = [], None
+        for event in events[1:]:  # events[0] is step 1, the plain step
+            if event == "t":
+                current = []
+                steps.append(current)
+            else:
+                current.append(event)
+        return steps
+
+    return finish
+
+
+def assert_rows_are_single_solves(batch, h, b, shift, cfg):
+    for i in range(len(h)):
+        one = torus_mm(h[i:i + 1], b[i:i + 1], 0.0, cfg, trace=True,
+                       shift=None if shift is None else shift[i:i + 1])
+        steps = int(one.iterations[0]) + 1
+        assert np.array_equal(batch.phases[i], one.phases[0])
+        assert batch.iterations[i] == one.iterations[0]
+        assert batch.converged[i] == one.converged[0]
+        assert np.array_equal(batch.cost_trace[:steps, i],
+                              one.cost_trace[:, 0])
+        assert np.isnan(batch.cost_trace[steps:, i]).all()
+
+
+def test_torus_mm_compaction_keeps_each_problem_its_single_solve(monkeypatch):
+    """More than half of each stack stops at step 1 (a diagonal H leaves the
+    all-ones start fixed), so the stack is compacted there; with a KL shift,
+    it is compacted again at a step where a remaining problem's momentum
+    restarts."""
+    rng = np.random.default_rng(93)
+    dim, fixed = 6, 3
+    diagonal = np.array([np.diag(rng.uniform(1.0, 2.0, dim))
+                         for _ in range(fixed)])
+
+    # least squares, shift None
+    h, b, _ = frob_problems(rng, 4, k=dim)
+    h = np.concatenate([diagonal, h[1:3]])
+    b = np.concatenate([np.zeros((fixed, dim)), b[1:3]])
+    cfg = MMConfig(max_iters=400, tol=1e-14)
+    batch = torus_mm(h, b, 0.0, cfg, trace=True)
+    assert (batch.iterations[:fixed] == 1).all()
+    assert (batch.iterations[fixed:] > 10).all()
+    assert_rows_are_single_solves(batch, h, b, None, cfg)
+
+    # spectral fit: find a problem y whose momentum restarts at the step
+    # where another problem z stops
+    sigma = np.array([scm(random_stack(rng, 2 * dim, dim)) for _ in range(12)])
+    kl_h = pd_inverse(abs_entrywise(sigma)) * sigma
+    lam = np.linalg.eigvalsh(kl_h)[:, -1]
+    cfg = MMConfig(max_iters=2000, tol=1e-13)
+    stops, restarts = [], []
+    for i in range(len(sigma)):
+        finish = record_steps(monkeypatch)
+        one = torus_mm(-kl_h[i:i + 1], 0.0, 0.0, cfg, shift=lam[i:i + 1])
+        stops.append(int(one.iterations[0]))
+        restarts.append({n + 2 for n, sizes in enumerate(finish())
+                         if len(sizes) == 2})
+    y, z = next((y, z) for y in range(len(sigma)) for z in range(len(sigma))
+                if stops[z] in restarts[y] and stops[y] > stops[z])
+    h = -np.concatenate([diagonal, kl_h[[y, z]]])
+    shift = np.concatenate([np.full(fixed, 2.0), lam[[y, z]]])
+    b = np.zeros((len(h), dim))
+    finish = record_steps(monkeypatch)
+    batch = torus_mm(h, 0.0, 0.0, cfg, trace=True, shift=shift)
+    steps = finish()
+    # compacted to y and z after step 1, to y alone after z's stop, which is
+    # a step where y's momentum restarts
+    assert steps[0] == [2]
+    assert steps[stops[z] - 2] == [2, 1]
+    assert steps[stops[z] - 1] == [1]
+    assert (batch.iterations[:fixed] == 1).all()
+    assert_rows_are_single_solves(batch, h, b, shift, cfg)
+
+
 @pytest.mark.parametrize("sequential", [False, True])
 def test_kl_fit_rows_are_their_single_solves_in_any_batch(sequential):
     rng = np.random.default_rng(91)

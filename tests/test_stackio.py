@@ -1,5 +1,6 @@
 """File-format tests: stack container, truth/raster CSVs, manifests."""
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,29 @@ def test_read_phase_raster_skips_blank_lines_and_rejects_ragged_ones(tmp_path):
     path.write_text("\n".join(lines[:2] + [lines[2] + ",0.5"] + lines[3:]))
     with pytest.raises(ValueError, match="malformed"):
         read_phase_raster(path)
+
+
+def test_read_phase_raster_rejects_empty_and_malformed_bodies(tmp_path):
+    raster = example_raster()
+    path = tmp_path / "phases.csv"
+    write_phase_raster_csv(path, raster)
+    header, *body = path.read_text().splitlines()
+    path.write_text("\n".join([header, "  ", *body[:3], " \t", *body[3:]]))
+    assert np.array_equal(read_phase_raster(path).data, raster.data,
+                          equal_nan=True)
+    path.write_text(header + "\n\n   \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no pixels"):
+            read_phase_raster(path)
+    short = [line.rsplit(",", 1)[0] for line in body]  # every line one short
+    bad_cell = [body[0].replace(",", ",x", 1)] + body[1:]
+    bad_index = ["0.5" + body[0][1:]] + body[1:]
+    nan_index = ["nan" + body[0][1:]] + body[1:]
+    for lines in (short, bad_cell, bad_index, nan_index):
+        path.write_text("\n".join([header, *lines]) + "\n")
+        with pytest.raises(ValueError, match="malformed"):
+            read_phase_raster(path)
 
 
 def test_raster_csv_header_names_every_date(tmp_path):
