@@ -5,12 +5,15 @@ one solve at large stack depths.
 Every trial owns a seed derived from (master_seed, n, trial index), so curves
 for different modes, distances, and plug-ins are paired draw-for-draw. Each
 mode is a set of arms, and each arm a chain of date bounds: the first fitted
-offline, each later one sequentially given the fit before it. One worker
-stacks the trials' plug-ins for every bound and fits each link of each chain
-as one solvers.fit call over all of them; a trial that fails in any arm is
-excluded from every arm, and one vectorized scorer measures the kept trials'
-errors against date 0. Since no problem's result depends on the rest of its
-stack, results do not depend on worker count or scheduling order either.
+offline, each later one sequentially given the fit before it. Each trial
+draws its samples once and builds one unregularized plug-in over all dates;
+the plug-in of date bound d is plugins.regularize of its leading d x d block,
+so a trial's past fit and its update read the same past block. One worker
+fits each link of each chain as one solvers.fit call over all its trials; a
+trial that fails in any arm is excluded from every arm, and one vectorized
+scorer measures the kept trials' errors against date 0. Since no problem's
+result depends on the rest of its stack, results do not depend on worker
+count or scheduling order either.
 """
 from __future__ import annotations
 
@@ -21,14 +24,14 @@ from itertools import accumulate
 import numpy as np
 
 from .linalg import abs_entrywise, partition, schur_factors
-from .plugins import PluginSpec, estimate, scm
+from .plugins import PluginSpec, estimate, regularize, scm
 from .raster import _run_rows
 from .simulate import SimulationConfig, ground_truth, sample_stack
 # solve_offline_frob and solve_offline_kl are not called here; they stay
 # importable from this module because perfbench/spans.py wraps them here
 from .solvers import (  # noqa: F401
-    DISTANCES,
     MMConfig,
+    check_distance,
     fit,
     solve_offline_frob,
     solve_offline_kl,
@@ -64,8 +67,7 @@ class ExperimentConfig:
     solver: MMConfig = BENCH_SOLVER
 
     def __post_init__(self):
-        if self.distance not in DISTANCES:
-            raise ValueError(f"unknown distance {self.distance!r}")
+        check_distance(self.distance)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
@@ -138,20 +140,16 @@ def phase_diff_error(
     return float(np.angle(hat * np.conj(true)) ** 2)
 
 
-def _plugin_stacks(cfg, sigma_true, n, trials, bounds):
-    """Per bound d, the (T, d, d) stack of the trials' plug-ins over their
-    first d dates (or the injected truth block); trial t draws its samples
-    from SeedSequence([master_seed, n, t])."""
-    plugins = {d: [] for d in bounds}
-    for trial in trials:
-        stack = None
-        if not cfg.inject_truth:
-            seed = np.random.SeedSequence([cfg.master_seed, n, trial])
-            stack = sample_stack(sigma_true, replace(cfg.sim, n=n), seed)
-        for d in bounds:
-            plugins[d].append(sigma_true[:d, :d] if cfg.inject_truth
-                              else estimate(stack[:, :d], cfg.plugin))
-    return {d: np.array(stacks) for d, stacks in plugins.items()}
+def _raw_plugins(cfg, sigma_true, sim, trials):
+    """The (T, l, l) stack of the trials' unregularized plug-ins over all
+    dates, or of the injected truth; trial t draws its samples from
+    SeedSequence([master_seed, n, t])."""
+    if cfg.inject_truth:
+        return np.broadcast_to(sigma_true, (len(trials),) + sigma_true.shape)
+    seeds = (np.random.SeedSequence([cfg.master_seed, sim.n, t]) for t in trials)
+    raw = replace(cfg.plugin, regularizer="none")
+    return np.array([estimate(sample_stack(sigma_true, sim, seed), raw)
+                     for seed in seeds])
 
 
 def _fit(cfg, sigma, w_past=None):
@@ -219,7 +217,7 @@ def _arm_errors(cfg: ExperimentConfig, n: int, threads: int) -> dict:
     share each trial's draw, and a trial that fails in any arm is excluded
     (NaN) from every arm."""
     arms, first = _arms(cfg)
-    bounds = sorted({bound for chain in arms.values() for bound in chain})
+    sim = replace(cfg.sim, n=n)
     _, w_true, sigma_true = ground_truth(cfg.sim)
     errors = {arm: np.full(cfg.trials, np.nan) for arm in arms}
     # contiguous chunks of the trial indices, one per worker thread
@@ -228,12 +226,14 @@ def _arm_errors(cfg: ExperimentConfig, n: int, threads: int) -> dict:
 
     def worker(index: int) -> None:
         trials = chunks[index]
-        sigma = _plugin_stacks(cfg, sigma_true, n, trials, bounds)
+        full = _raw_plugins(cfg, sigma_true, sim, trials)
         theta_hat = {}
         for arm, chain in arms.items():
             phases = None  # the first link is offline
             for bound in chain:
-                phases = _fit(cfg, sigma[bound], phases)
+                sigma = full[:, :bound, :bound]
+                phases = _fit(cfg, sigma if cfg.inject_truth
+                              else regularize(sigma, cfg.plugin), phases)
             theta_hat[arm] = phases
         kept = ~np.any([np.isnan(rows).any(axis=1)
                         for rows in theta_hat.values()], axis=0)
@@ -306,8 +306,7 @@ def timing_experiment(
     """
     if not (p >= k >= 1):
         raise ValueError("need p >= k >= 1")
-    if distance not in DISTANCES:
-        raise ValueError(f"unknown distance {distance!r}")
+    check_distance(distance)
     if reps < 5:
         raise ValueError("need at least 5 repetitions")
     l = p + k

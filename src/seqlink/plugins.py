@@ -117,7 +117,8 @@ def taper_mask(l: int, bandwidth: int) -> np.ndarray:
     return (np.abs(idx[:, None] - idx[None, :]) <= bandwidth).astype(float)
 
 
-def _regularize(sigma: np.ndarray, spec: PluginSpec) -> np.ndarray:
+def regularize(sigma: np.ndarray, spec: PluginSpec) -> np.ndarray:
+    """Apply spec's regularizer to a plug-in or a (..., l, l) stack of them."""
     if spec.regularizer == "shrink":
         return shrink_to_identity(sigma, spec.beta)
     if spec.regularizer == "taper":
@@ -128,7 +129,7 @@ def _regularize(sigma: np.ndarray, spec: PluginSpec) -> np.ndarray:
 def estimate(stack: np.ndarray, spec: PluginSpec) -> np.ndarray:
     """Dispatch estimator then regularizer according to spec."""
     sigma = scm(stack) if spec.estimator == "scm" else phase_only(stack)
-    return _regularize(sigma, spec)
+    return regularize(sigma, spec)
 
 
 def window_bounds(size: int, win: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,4 +186,4 @@ def window_estimates(data: np.ndarray, row: int, win: int,
     sigma += terms
     if spec.estimator == "po":
         sigma[:, np.arange(l), np.arange(l)] = 1.0
-    return _regularize(sigma, spec)
+    return regularize(sigma, spec)

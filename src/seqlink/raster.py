@@ -20,8 +20,8 @@ from .linalg import schur_factors  # noqa: F401
 from .plugins import PluginSpec, estimate, window_bounds, window_estimates  # noqa: F401
 from .simulate import noiseless_stack
 from .solvers import (  # noqa: F401
-    DISTANCES,
     MMConfig,
+    check_distance,
     fit,
     solve_offline_frob,
     solve_offline_kl,
@@ -145,25 +145,25 @@ def _run_rows(height: int, worker, threads: int) -> None:
                 worker(row)
 
 
-def _check_distance(distance: str) -> None:
-    if distance not in DISTANCES:
-        raise ValueError(f"unknown distance {distance!r}; choose from {DISTANCES}")
-
-
-def _window_masks(data: np.ndarray, win: int, depth: int):
-    """(undersampled, empty) pixel grids: windows holding fewer than depth
-    samples, and windows whose samples are all exactly zero (a box count of
-    nonzero pixels over an integral image)."""
+def _window_masks(data: np.ndarray, bad: np.ndarray, win: int, depth: int):
+    """(undersampled, unusable) pixel grids: windows holding fewer than depth
+    samples, and windows whose samples are all exactly zero or that hold a
+    pixel marked in the (height, width) grid bad (box counts over integral
+    images)."""
     if win < 1:
         raise ValueError("win must be >= 1")
     height, width = data.shape[1:]
     r0, r1 = window_bounds(height, win)
     c0, c1 = window_bounds(width, win)
-    nonzero = np.zeros((height + 1, width + 1), dtype=np.int64)
-    nonzero[1:, 1:] = np.any(data != 0, axis=0).cumsum(0).cumsum(1)
-    counts = (nonzero[np.ix_(r1, c1)] - nonzero[np.ix_(r0, c1)]
-              - nonzero[np.ix_(r1, c0)] + nonzero[np.ix_(r0, c0)])
-    return np.outer(r1 - r0, c1 - c0) < depth, counts == 0
+
+    def box_counts(marked):
+        total = np.zeros((height + 1, width + 1), dtype=np.int64)
+        total[1:, 1:] = marked.cumsum(0).cumsum(1)
+        return (total[np.ix_(r1, c1)] - total[np.ix_(r0, c1)]
+                - total[np.ix_(r1, c0)] + total[np.ix_(r0, c0)])
+
+    unusable = (box_counts(np.any(data != 0, axis=0)) == 0) | (box_counts(bad) > 0)
+    return np.outer(r1 - r0, c1 - c0) < depth, unusable
 
 
 def _process(data: np.ndarray, past, win: int, spec: PluginSpec,
@@ -173,12 +173,17 @@ def _process(data: np.ndarray, past, win: int, spec: PluginSpec,
 
     past is None for an offline raster, or the (p, height, width) past
     angles of a sequential one, whose pixels then hold the last l - p dates.
-    Pixels in skip, with all-zero windows, or whose fit fails are failed.
+    Pixels in skip, with all-zero windows or a non-finite entry in their
+    window, or whose fit fails are failed. Non-finite entries are read as 0
+    (from a copy), so no other pixel's plug-in sees them.
     """
     l, height, width = data.shape
     count = l if past is None else l - len(past)
-    undersampled, empty = _window_masks(data, win, l)
-    failed = skip | empty
+    bad = ~np.isfinite(data)
+    if bad.any():
+        data = np.where(bad, 0, data)
+    undersampled, unusable = _window_masks(data, bad.any(axis=0), win, l)
+    failed = skip | unusable
     out = np.full((count, height, width), np.nan)
     iterations = np.zeros((height, width), dtype=int)
     nonconverged = np.zeros((height, width), dtype=bool)
@@ -214,7 +219,7 @@ def process_stack_offline(
     phases and a failed-mask bit instead of aborting the raster; a solve that
     runs out of iterations keeps its phases and sets a nonconverged bit.
     """
-    _check_distance(distance)
+    check_distance(distance)
     if stack.count < 2:
         raise ValueError("need at least two images to link phases")
     skip = np.zeros((stack.height, stack.width), dtype=bool)
@@ -238,7 +243,7 @@ def process_stack_sequential(
     covariances); its past/new partition feeds the sequential solver. Pixels
     whose past solve failed stay failed.
     """
-    _check_distance(distance)
+    check_distance(distance)
     if stack_past.height != stack_new.height or stack_past.width != stack_new.width:
         raise ValueError("past and new stacks must share the raster grid")
     if past_phases.height != stack_new.height or past_phases.width != stack_new.width:

@@ -45,6 +45,12 @@ from .plugins import unit_phasors
 DISTANCES = ("kl", "frob")
 
 
+def check_distance(distance: str) -> None:
+    """Raise ValueError unless distance is one of DISTANCES."""
+    if distance not in DISTANCES:
+        raise ValueError(f"unknown distance {distance!r}; choose from {DISTANCES}")
+
+
 @dataclass(frozen=True)
 class MMConfig:
     """Iteration budget and stopping rule for the MM loops.
@@ -402,8 +408,7 @@ def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
     and converged False; the others are unaffected, since no problem's
     result depends on the rest of its stack. May overwrite sigma.
     """
-    if distance not in DISTANCES:
-        raise ValueError(f"unknown distance {distance!r}; choose from {DISTANCES}")
+    check_distance(distance)
     if w_past is not None:
         w_past = np.asarray(w_past, dtype=complex)
     if distance == "frob":

@@ -157,9 +157,9 @@ def read_phase_raster(path) -> PhaseRaster:
                          "pixel index)")
     rows, cols = index.astype(int).T
     height, width = rows.max() + 1, cols.max() + 1
-    if (min(rows.min(), cols.min()) < 0
+    if (min(rows.min(), cols.min()) < 0 or len(rows) != height * width
             or np.unique(rows * width + cols).size != height * width):
-        raise ValueError(f"{path}: raster grid has missing pixels")
+        raise ValueError(f"{path}: raster grid has missing or repeated pixels")
     data = np.empty((cells.shape[1] - 2, height, width))
     data[:, rows, cols] = cells[:, 2:].T
     return PhaseRaster(data, failed=np.isnan(data).any(axis=0))

@@ -196,6 +196,56 @@ def test_offline_and_sequential_trials_share_draws():
         assert np.array_equal(stack_a, stack_b)
 
 
+@pytest.mark.parametrize("regularizer", [
+    dict(regularizer="none"), dict(regularizer="taper", bandwidth=2),
+    dict(regularizer="shrink", beta=0.7)])
+@pytest.mark.parametrize("estimator", ["scm", "po"])
+def test_every_bound_fits_a_leading_block_of_one_plugin_per_trial(
+        monkeypatch, estimator, regularizer):
+    """Each trial estimates one raw plug-in over all dates; the plug-in every
+    link fits at date bound d is regularize of its leading d x d block, and
+    at d = l that is estimate() of the trial's stack, bit for bit."""
+    from dataclasses import replace
+
+    from seqlink import estimate, ground_truth, sample_stack
+    from seqlink.plugins import regularize
+
+    spec = PluginSpec(estimator=estimator, **regularizer)
+    cfg = small_cfg(sim=SimulationConfig(l=8, p=6, k=2, rho=0.9), plugin=spec,
+                    mode="multiblock", sizes=(3, 3, 2), trials=5,
+                    n_grid=(20,), distance="frob")
+    _, _, sigma_true = ground_truth(cfg.sim)
+    stacks = [sample_stack(sigma_true, replace(cfg.sim, n=20),
+                           np.random.SeedSequence([cfg.master_seed, 20, t]))
+              for t in range(cfg.trials)]
+    raw = np.array([estimate(s, replace(spec, regularizer="none"))
+                    for s in stacks])
+    fitted, estimates = [], []
+    fit, plugin = seqlink.bench.fit, seqlink.bench.estimate
+
+    def recording_fit(sigma, solver, distance, w_past=None):
+        fitted.append(sigma.copy())  # fit may overwrite its input
+        return fit(sigma, solver, distance, w_past)
+
+    def counting_estimate(stack, spec):
+        estimates.append(stack.shape)
+        return plugin(stack, spec)
+
+    monkeypatch.setattr(seqlink.bench, "fit", recording_fit)
+    monkeypatch.setattr(seqlink.bench, "estimate", counting_estimate)
+    rows = multiblock_experiment(cfg)
+    assert all(row.excluded == 0 for row in rows)
+    assert estimates == [(20, 8)] * cfg.trials
+    # offline (8,); sequential (6, 8); chained (3, 6, 8)
+    assert [sigma.shape[-1] for sigma in fitted] == [8, 6, 8, 3, 6, 8]
+    for sigma in fitted:
+        d = sigma.shape[-1]
+        assert np.array_equal(sigma, regularize(raw[:, :d, :d], spec))
+        if d == cfg.sim.l:
+            for t, stack in enumerate(stacks):
+                assert np.array_equal(sigma[t], estimate(stack, spec))
+
+
 def test_mse_improves_with_sample_support():
     cfg = small_cfg(sim=SimulationConfig(l=8, p=6, k=2, rho=0.9, n=64),
                     trials=40, n_grid=(8, 64))

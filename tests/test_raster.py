@@ -334,6 +334,33 @@ def test_raster_masks_match_window_enumeration(win):
     assert raster.failed.any() == (win < 3)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.5, -np.inf)])
+def test_non_finite_entry_fails_exactly_the_windows_that_hold_it(value):
+    """The entry sits in the first column of the second tile of win band
+    product columns, so both tiles' products read it. The windows holding it
+    fail; every other pixel is the run with that entry set to 0, bit for bit,
+    and the caller's stack keeps its entry."""
+    win, height, width = 3, 7, 9
+    stack = random_image_stack(5, 4, height, width)
+    zeroed = ImageStack(stack.data.copy())
+    zeroed.data[2, 3, win] = 0.0
+    stack.data[2, 3, win] = value
+    marker = np.zeros((1, height, width))
+    marker[0, 3, win] = 1.0
+    holds = np.array([[sliding_window_extract(ImageStack(marker), row, col,
+                                              win).any()
+                       for col in range(width)] for row in range(height)])
+    cfg = MMConfig(max_iters=30)
+    spoiled = process_stack_offline(stack, PluginSpec(), "frob", win, cfg)
+    clean = process_stack_offline(zeroed, PluginSpec(), "frob", win, cfg)
+    assert not clean.failed.any()
+    assert np.array_equal(spoiled.failed, holds)
+    assert np.isnan(spoiled.data[:, holds]).all()
+    assert np.array_equal(spoiled.data[:, ~holds], clean.data[:, ~holds])
+    assert np.array_equal(spoiled.iterations[~holds], clean.iterations[~holds])
+    assert np.array_equal(stack.data[2, 3, win], value, equal_nan=True)
+
+
 def test_offline_raster_validates_distance_and_depth():
     stack = ImageStack(np.ones((2, 3, 3), dtype=complex))
     with pytest.raises(ValueError):

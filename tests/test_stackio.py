@@ -293,6 +293,13 @@ def test_read_phase_raster_rejects_missing_pixels(tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop the last pixel
     with pytest.raises(ValueError, match="missing"):
         read_phase_raster(path)
+    # a 2 x 2 raster whose pixel (1, 1) appears twice: every pixel is there,
+    # but the line count gives the repeat away
+    write_phase_raster_csv(path, PhaseRaster(np.zeros((2, 2, 2))))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + ["1,1,0.5,0.5"]) + "\n")
+    with pytest.raises(ValueError, match="repeated"):
+        read_phase_raster(path)
 
 
 # ---------------------------------------------------------------------------
