@@ -302,7 +302,9 @@ def timing_experiment(
     matching its operating regime where past-block quantities persist
     between acquisitions; seq_fit_ms times the same update as one fit call,
     which builds the partition and, for the spectral fit, the Schur factors
-    of the full plug-in first. Plug-in estimation is excluded for all.
+    of the full plug-in first. The plug-in is the SCM of n = 2l samples
+    shrunk with β = 0.9, positive definite at any depth (the raw |SCM| is
+    not, from about p = 300); its estimation is excluded for all.
     """
     if not (p >= k >= 1):
         raise ValueError("need p >= k >= 1")
@@ -313,14 +315,13 @@ def timing_experiment(
     sim = SimulationConfig(l=l, p=p, k=k, n=2 * l, seed=seed)
     _, w_true, sigma_true = ground_truth(sim)
     stack = sample_stack(sigma_true, sim)
-    sigma_hat = scm(stack)
+    sigma_hat = regularize(scm(stack), PluginSpec(regularizer="shrink"))
     cfg = MMConfig(max_iters=iters, tol=0.0)
     w_past = w_true[:p]
 
     blocks = partition(sigma_hat, p)
     if distance == "kl":
-        factors = schur_factors(abs_entrywise(sigma_hat), p,
-                                sigma_new=blocks.new)
+        factors = schur_factors(abs_entrywise(sigma_hat), p)
 
         def run_seq():
             return solve_seq_kl(blocks, factors, w_past, cfg)

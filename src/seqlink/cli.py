@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -45,21 +44,10 @@ from .stackio import (
 )
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        if value < 1:
-            raise ConfigError("threads", "must be >= 1")
-        return value
-    env = os.environ.get("SEQLINK_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        parsed = int(env)
-    except ValueError:
-        raise ConfigError("SEQLINK_THREADS", f"not an integer: {env!r}") from None
-    if parsed < 1:
-        raise ConfigError("SEQLINK_THREADS", "must be >= 1")
-    return parsed
+def _resolve_threads(value: int) -> int:
+    if value < 1:
+        raise ConfigError("threads", "must be >= 1")
+    return value
 
 
 def _read_text(path: str) -> str:
@@ -262,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--binary", action="store_true",
                          help="write the raster as unit phasors in the stack "
                               "container instead of CSV")
-    p_solve.add_argument("--threads", type=int)
+    p_solve.add_argument("--threads", type=int, default=1)
     p_solve.add_argument("--max-iters", type=int,
                          default=BENCH_SOLVER.max_iters)
     p_solve.add_argument("--tol", type=float, default=BENCH_SOLVER.tol)
@@ -271,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run Monte Carlo MSE experiments")
     p_bench.add_argument("config", help="key=value config file")
     p_bench.add_argument("--out", help="output CSV path (overrides config)")
-    p_bench.add_argument("--threads", type=int)
+    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.set_defaults(func=cmd_bench)
 
     p_time = sub.add_parser("timing", help="time one sequential vs offline "

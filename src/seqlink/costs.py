@@ -56,10 +56,7 @@ def kl_cost_block(
     past_term = quad_form(w_past, hadamard(factors.f_inv(), blocks.past))
     cross = hadamard(factors.a_mat, blocks.cross)
     cross_term = 2.0 * float(np.real(w_new.conj() @ (cross @ w_past)))
-    m_mat = factors.m_mat
-    if m_mat is None:
-        m_mat = hadamard(factors.d_inv, blocks.new)
-    new_term = quad_form(w_new, m_mat)
+    new_term = quad_form(w_new, hadamard(factors.d_inv, blocks.new))
     return past_term + cross_term + new_term
 
 

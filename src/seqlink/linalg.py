@@ -1,6 +1,7 @@
 """Dense Hermitian kernel: Hadamard products, entrywise modulus,
 positive-definite inversion, block partitioning, Schur-complement block
-inverse and the largest eigenvalue.
+inverse and the largest eigenvalue. The Schur factors hold what a sequential
+fit reads, A and D⁻¹; the past corner F⁻¹ is built only when asked for.
 
 Everything here operates on plain numpy arrays and is pure: no function
 mutates its inputs, so values can be shared freely between pixel workers.
@@ -119,15 +120,14 @@ class SchurFactors:
     D = N - Q P⁻¹ Qᵀ and the full inverse assembles as [[F⁻¹, Aᵀ], [A, D⁻¹]]
     where A = -D⁻¹ Q P⁻¹ and F⁻¹ = P⁻¹ + P⁻¹ Qᵀ D⁻¹ Q P⁻¹.
 
-    F⁻¹ only feeds the constant term of the block objective, so it is built
-    lazily on first use and cached. m_mat (D⁻¹ entrywise-times the complex
-    new-block covariance) is attached when that block is supplied.
+    F⁻¹ only feeds the constant past term of the block objective, which a
+    sequential fit leaves out; the cost oracles and traces that report the
+    whole objective build it lazily on first use, and it is cached.
     """
 
     psi_p_inv: np.ndarray
     d_inv: np.ndarray
     a_mat: np.ndarray
-    m_mat: np.ndarray | None = None
     _cross: np.ndarray | None = None
     _f_inv: np.ndarray | None = field(default=None, repr=False)
 
@@ -140,17 +140,9 @@ class SchurFactors:
         return self._f_inv
 
 
-def schur_factors(
-    psi: np.ndarray,
-    p: int,
-    jitter: float = DEFAULT_JITTER,
-    sigma_new: np.ndarray | None = None,
-) -> SchurFactors:
-    """Blockwise inverse of a real SPD coherence matrix split at column p.
-
-    sigma_new, when given, is the complex covariance of the new block; it is
-    combined with D⁻¹ into the m_mat field used by the block objective.
-    """
+def schur_factors(psi: np.ndarray, p: int,
+                  jitter: float = DEFAULT_JITTER) -> SchurFactors:
+    """Blockwise inverse of a real SPD coherence matrix split at column p."""
     psi = np.asarray(psi)
     blocks = partition(psi, p)
     psi_p_inv = pd_inverse(blocks.past, jitter)
@@ -158,16 +150,8 @@ def schur_factors(
     d = (d + d.mT) / 2
     d_inv = pd_inverse(d, jitter)
     a_mat = -d_inv @ blocks.cross @ psi_p_inv
-    m_mat = None
-    if sigma_new is not None:
-        m_mat = hadamard(d_inv, np.asarray(sigma_new))
-    return SchurFactors(
-        psi_p_inv=psi_p_inv,
-        d_inv=d_inv,
-        a_mat=a_mat,
-        m_mat=m_mat,
-        _cross=blocks.cross,
-    )
+    return SchurFactors(psi_p_inv=psi_p_inv, d_inv=d_inv, a_mat=a_mat,
+                        _cross=blocks.cross)
 
 
 def assemble_block_inverse(factors: SchurFactors) -> np.ndarray:

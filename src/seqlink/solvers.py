@@ -2,7 +2,10 @@
 
 Offline solvers estimate all l phases of a stack at once; sequential solvers
 estimate only the k newest phases given p fixed past phases, touching only
-k-sized (and k x p) objects per iteration.
+k-sized (and k x p) objects per iteration. The past block enters a
+sequential objective only as a constant, which the fit leaves out, so a
+spectral-fit update never forms F⁻¹ and a least-squares one never reads
+the past block; only solve_seq_* add it back, to their cost traces.
 
 Both objectives are Hermitian quadratics on the torus, and one kernel,
 torus_mm, minimizes a whole stack of them at once (say, every pixel of a
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import quad_form
 from .errors import SeqlinkError
 from .linalg import (
     DEFAULT_JITTER,
@@ -56,8 +60,9 @@ class MMConfig:
     """Iteration budget and stopping rule for the MM loops.
 
     Stops when |cost_t - cost_{t-1}| <= tol * max(1, |cost_t|), or at
-    max_iters. init=None starts the offline spectral-fit solver from the EMI
-    estimate and every other solver from the all-ones (zero phase) vector.
+    max_iters; cost_t leaves out a sequential problem's constant past term.
+    init=None starts the offline spectral-fit solver from the EMI estimate
+    and every other solver from the all-ones (zero phase) vector.
     """
 
     max_iters: int = 100
@@ -151,16 +156,15 @@ def _shifted_step(mat, shift, w, u):
     return nxt, product, np.vecdot(nxt, product).real
 
 
-def torus_mm(h, b, const, cfg: MMConfig = MMConfig(), trace: bool = False,
+def torus_mm(h, b, cfg: MMConfig = MMConfig(), trace: bool = False,
              *, shift=None, w0=None) -> BatchReport:
     """MM on a stack of B problems at once.
 
-    Problem i minimizes const_i - Re(wᴴ(H_i w + 2 b_i)) over the torus,
-    with h (B, k, k) Hermitian, b (B, k) and const (B,) (b and const may
-    be anything that broadcasts, such as 0). Each step minimizes the
-    linearization at the iterate, w⁺ = Φ(s w + H w + b), which majorizes the
-    cost whenever sI + H is positive semidefinite; a zero coefficient keeps
-    the previous iterate.
+    Problem i minimizes -Re(wᴴ(H_i w + 2 b_i)) over the torus, with h
+    (B, k, k) Hermitian and b (B, k) (or anything that broadcasts, such as
+    0). Each step minimizes the linearization at the iterate,
+    w⁺ = Φ(s w + H w + b), which majorizes the cost whenever sI + H is
+    positive semidefinite; a zero coefficient keeps the previous iterate.
 
     shift None is the least-squares form (H positive semidefinite, s = 0),
     run as plain steps. With shift (B,), s_i = shift_i, and each step first
@@ -181,14 +185,14 @@ def torus_mm(h, b, const, cfg: MMConfig = MMConfig(), trace: bool = False,
     is the same whatever else is in the batch.
     """
     count, dim = len(h), h.shape[-1]
-    # bordered matrices [[H, b], [bᴴ, -const]]: with w̃ = (w, 1), the one
+    # bordered matrices [[H, b], [bᴴ, 0]]: with w̃ = (w, 1), the one
     # product H̃w̃ per iterate holds the next step's H w + b, and w̃ᴴH̃w̃ is
     # the negated cost
     mat = np.empty((count, dim + 1, dim + 1), dtype=complex)
     mat[:, :dim, :dim] = h
     mat[:, :dim, dim] = b
     mat[:, dim, :dim] = np.conj(b)
-    mat[:, dim, dim] = np.negative(const)
+    mat[:, dim, dim] = 0.0
     w = np.ones((count, dim + 1), dtype=complex)
     if w0 is not None:
         w[:, :dim] = w0
@@ -257,38 +261,37 @@ def torus_mm(h, b, const, cfg: MMConfig = MMConfig(), trace: bool = False,
                        None if costs is None else np.array(costs))
 
 
-def _single(batch: BatchReport) -> SolveReport:
-    """The SolveReport of a one-problem torus_mm run."""
+def _single(batch: BatchReport, const: float = 0.0) -> SolveReport:
+    """The SolveReport of a one-problem torus_mm run, with const added to
+    its cost trace."""
     iterations = int(batch.iterations[0])
     return SolveReport(
         phases=batch.phases[0],
-        cost_trace=batch.cost_trace[:iterations + 1, 0],
+        cost_trace=batch.cost_trace[:iterations + 1, 0] + const,
         iterations=iterations,
         converged=bool(batch.converged[0]),
     )
 
 
 def kl_seq_terms(blocks: BlockCov, factors: SchurFactors, w_past):
-    """torus_mm's (M, n, c) for the sequential spectral-fit problem, which
-    is torus_mm(-M, n, c) shifted by λ_max(M).
+    """torus_mm's (M, n) for the sequential spectral-fit problem, which is
+    torus_mm(-M, n) shifted by λ_max(M).
 
     The block objective w_pastᴴ(F⁻¹∘Σ_p)w_past + 2Re(w̄ᴴ(A∘Σ_pn)w_past)
-    + w̄ᴴ(D⁻¹∘Σ_n)w̄ is c - 2Re(w̄ᴴn) + w̄ᴴMw̄ with M = D⁻¹∘Σ_n,
-    n = ((-A)∘Σ_pn) w_past and c = w_pastᴴ(F⁻¹∘Σ_p)w_past: only k x k and
-    k x p objects enter the iterations. Blocks and factors may carry a
-    leading stack axis (with w_past (B, p)).
+    + w̄ᴴ(D⁻¹∘Σ_n)w̄ is c - 2Re(w̄ᴴn) + w̄ᴴMw̄ with M = D⁻¹∘Σ_n and
+    n = ((-A)∘Σ_pn) w_past. The past term c does not depend on w̄, so it is
+    left out: only k x k and k x p objects enter the fit, and F⁻¹ is never
+    formed. Blocks and factors may carry a leading stack axis (with w_past
+    (B, p)).
     """
-    m_mat = factors.m_mat
-    if m_mat is None:
-        m_mat = hadamard(factors.d_inv, blocks.new)
+    m_mat = hadamard(factors.d_inv, blocks.new)
     n_vec = np.matvec(hadamard(-factors.a_mat, blocks.cross), w_past)
-    past_form = np.matvec(hadamard(factors.f_inv(), blocks.past), w_past)
-    return m_mat, n_vec, np.vecdot(w_past, past_form).real
+    return m_mat, n_vec
 
 
-def _seq_kl(m_mat, n_vec, const, cfg, trace=False) -> BatchReport:
+def _seq_kl(m_mat, n_vec, cfg, trace=False) -> BatchReport:
     """torus_mm on stacked kl_seq_terms."""
-    return torus_mm(-m_mat, n_vec, const, cfg, trace,
+    return torus_mm(-m_mat, n_vec, cfg, trace,
                     shift=largest_eigenvalue(m_mat))
 
 
@@ -307,11 +310,11 @@ def _fit_kl(sigma, cfg, w_past, jitter=DEFAULT_JITTER,
         h = hadamard(pd_inverse(psi, jitter), sigma)
         vals, vecs = np.linalg.eigh(h)
         w0 = phase_project(vecs[..., 0]) if cfg.init is None else None
-        batch = torus_mm(-h, 0.0, 0.0, cfg, trace, shift=vals[:, -1], w0=w0)
+        batch = torus_mm(-h, 0.0, cfg, trace, shift=vals[:, -1], w0=w0)
         batch.phases = anchor_reference(batch.phases)
         return batch
     blocks = partition(sigma, w_past.shape[-1])
-    factors = schur_factors(psi, blocks.p, jitter, sigma_new=blocks.new)
+    factors = schur_factors(psi, blocks.p, jitter)
     return _seq_kl(*kl_seq_terms(blocks, factors, w_past), cfg, trace)
 
 
@@ -335,7 +338,7 @@ def solve_offline_frob(sigma: np.ndarray, cfg: MMConfig = MMConfig()) -> SolveRe
     """
     sigma = np.asarray(sigma)
     h = 2.0 * hadamard(abs_entrywise(sigma), sigma)
-    report = _single(torus_mm(h[None], 0.0, 0.0, cfg, trace=True))
+    report = _single(torus_mm(h[None], 0.0, cfg, trace=True))
     report.phases = anchor_reference(report.phases)
     return report
 
@@ -350,29 +353,32 @@ def solve_seq_kl(
     the p past phases fixed.
 
     Iterates w̄⁺ = Φ( ((-A)∘Σ_pn) w_past - (M - λ_max I) w̄ ) with
-    M = D⁻¹∘Σ_n, with restarted momentum (see kl_seq_terms and torus_mm).
-    The reported cost is the block objective including its constant past
-    term, so traces are comparable with offline runs. The output is not
-    re-anchored: the phase reference lives in w_past.
+    M = D⁻¹∘Σ_n, with restarted momentum (see kl_seq_terms and torus_mm);
+    it stops at the same step as fit. The reported cost adds the constant
+    past term w_pastᴴ(F⁻¹∘Σ_p)w_past, so it is the block objective and
+    traces are comparable with offline runs. The output is not re-anchored:
+    the phase reference lives in w_past.
     """
-    terms = kl_seq_terms(blocks, factors, np.asarray(w_past, dtype=complex))
+    w_past = np.asarray(w_past, dtype=complex)
+    terms = kl_seq_terms(blocks, factors, w_past)
+    const = quad_form(w_past, hadamard(factors.f_inv(), blocks.past))
     return _single(_seq_kl(*(np.asarray(x)[None] for x in terms), cfg,
-                           trace=True))
+                           trace=True), const)
 
 
-def frob_seq_terms(past, cross, new, w_past):
-    """torus_mm's (h, b, const) for the sequential least-squares problem.
+def frob_seq_terms(cross, new, w_past):
+    """torus_mm's (h, b) for the sequential least-squares problem.
 
     The block objective -2[wᴴ(|Σ_p|∘Σ_p)w + 2Re(w̄ᴴ(|Σ_pn|∘Σ_pn)w)
-    + w̄ᴴ(|Σ_n|∘Σ_n)w̄] in torus_mm's form: h = 2(|Σ_n|∘Σ_n),
-    b = 2(|Σ_pn|∘Σ_pn) w_past and const = -2 wᴴ(|Σ_p|∘Σ_p)w. Blocks may
-    carry a leading stack axis (with w_past (B, p)).
+    + w̄ᴴ(|Σ_n|∘Σ_n)w̄] is a constant past term plus torus_mm's form with
+    h = 2(|Σ_n|∘Σ_n) and b = 2(|Σ_pn|∘Σ_pn) w_past; the past block Σ_p
+    enters only the constant, so it is not read. Blocks may carry a leading
+    stack axis (with w_past (B, p)).
     """
     w_past = np.asarray(w_past, dtype=complex)
     h = 2.0 * hadamard(abs_entrywise(new), new)
     b = 2.0 * np.matvec(hadamard(abs_entrywise(cross), cross), w_past)
-    past_form = np.matvec(hadamard(abs_entrywise(past), past), w_past)
-    return h, b, -2.0 * np.vecdot(w_past, past_form).real
+    return h, b
 
 
 def solve_seq_frob(
@@ -384,13 +390,15 @@ def solve_seq_frob(
     the p past phases fixed.
 
     Iterates w̄⁺ = Φ( (|Σ_pn|∘Σ_pn) w_past + (|Σ_n|∘Σ_n) w̄ ) through
-    torus_mm; no matrix inversion or eigenvalue is needed. The reported cost
-    is the block objective including its constant past term. The output is
-    not re-anchored.
+    torus_mm, stopping at the same step as fit; no matrix inversion or
+    eigenvalue is needed. The reported cost adds the constant past term
+    -2 w_pastᴴ(|Σ_p|∘Σ_p)w_past, so it is the block objective. The output
+    is not re-anchored.
     """
-    h, b, const = frob_seq_terms(blocks.past, blocks.cross, blocks.new, w_past)
-    return _single(torus_mm(h[None], b[None], np.atleast_1d(const), cfg,
-                            trace=True))
+    h, b = frob_seq_terms(blocks.cross, blocks.new, w_past)
+    const = -2.0 * quad_form(
+        w_past, hadamard(abs_entrywise(blocks.past), blocks.past))
+    return _single(torus_mm(h[None], b[None], cfg, trace=True), const)
 
 
 def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
@@ -414,12 +422,12 @@ def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
     if distance == "frob":
         if w_past is not None:
             blocks = partition(sigma, w_past.shape[-1])
-            return torus_mm(*frob_seq_terms(blocks.past, blocks.cross,
-                                            blocks.new, w_past), cfg)
+            return torus_mm(*frob_seq_terms(blocks.cross, blocks.new, w_past),
+                            cfg)
         # H = 2(|Σ|∘Σ) as in solve_offline_frob, built in place
         sigma *= abs_entrywise(sigma)
         sigma *= 2.0
-        batch = torus_mm(sigma, 0.0, 0.0, cfg)
+        batch = torus_mm(sigma, 0.0, cfg)
         batch.phases = anchor_reference(batch.phases)
         return batch
     try:

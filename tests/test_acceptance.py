@@ -73,7 +73,7 @@ def max_angle_error(w_hat, w_true):
 
 def seq_inputs(sigma, p):
     blocks = partition(sigma, p)
-    factors = schur_factors(abs_entrywise(sigma), p, sigma_new=blocks.new)
+    factors = schur_factors(abs_entrywise(sigma), p)
     return blocks, factors
 
 

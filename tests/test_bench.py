@@ -374,6 +374,12 @@ def test_timing_experiment_small_problem_is_finite():
     assert out["offline_ms"] > 0.0
 
 
+def test_timing_experiment_is_finite_where_raw_scm_coherence_is_indefinite():
+    # |SCM| of n = 2l samples has a negative eigenvalue at p = 300
+    out = timing_experiment(300, 5, "kl", reps=5)
+    assert all(np.isfinite(v) and v > 0.0 for v in out.values())
+
+
 def test_timing_experiment_validates_inputs():
     with pytest.raises(ValueError):
         timing_experiment(p=2, k=3)

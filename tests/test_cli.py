@@ -241,30 +241,6 @@ def test_bench_output_identical_across_thread_counts(tmp_path):
     assert texts[1] == texts[4]
 
 
-def test_bench_honors_threads_env_var(tmp_path):
-    import os
-    out = tmp_path / "env.csv"
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text(BENCH_CFG.format(out=out))
-    env = dict(os.environ, SEQLINK_THREADS="3")
-    result = run_cli("bench", cfg, env=env)
-    assert result.returncode == 0, result.stderr
-    ref = tmp_path / "ref.csv"
-    cfg.write_text(BENCH_CFG.format(out=ref))
-    assert run_cli("bench", cfg, "--threads", 1).returncode == 0
-    assert out.read_bytes() == ref.read_bytes()
-
-
-def test_bench_rejects_garbage_threads_env(tmp_path):
-    import os
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text(BENCH_CFG.format(out=tmp_path / "x.csv"))
-    env = dict(os.environ, SEQLINK_THREADS="lots")
-    result = run_cli("bench", cfg, env=env)
-    assert result.returncode == 2
-    assert "SEQLINK_THREADS" in result.stderr
-
-
 def test_timing_emits_csv_row(tmp_path):
     out = tmp_path / "t.csv"
     result = run_cli("timing", "--p", 8, "--k", 2, "--reps", 5,

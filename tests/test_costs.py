@@ -85,8 +85,7 @@ def test_kl_cost_block_identity_cov_counts_dates():
     rng = np.random.default_rng(45)
     sigma = np.eye(9, dtype=complex)
     blocks = partition(sigma, 6)
-    factors = schur_factors(abs_entrywise(sigma), 6, jitter=0.0,
-                            sigma_new=blocks.new)
+    factors = schur_factors(abs_entrywise(sigma), 6, jitter=0.0)
     w = random_torus(rng, 6)
     w_new = random_torus(rng, 3)
     assert np.isclose(kl_cost_block(w, w_new, blocks, factors), 9.0, atol=1e-12)
@@ -97,8 +96,7 @@ def test_kl_cost_block_two_by_two_hand_formula():
     sigma = np.array([[1.0, rho * np.exp(-1j * phi)],
                       [rho * np.exp(1j * phi), 1.0]])
     blocks = partition(sigma, 1)
-    factors = schur_factors(abs_entrywise(sigma), 1, jitter=0.0,
-                            sigma_new=blocks.new)
+    factors = schur_factors(abs_entrywise(sigma), 1, jitter=0.0)
     w_past = np.array([np.exp(1j * 0.3)])
     w_new = np.array([np.exp(1j * 1.1)])
     d = 1 - rho**2
@@ -115,7 +113,7 @@ def test_kl_cost_block_equals_full_form():
     sigma = random_plugin(rng, 10)
     w = random_torus(rng, 10)
     blocks = partition(sigma, 7)
-    factors = schur_factors(abs_entrywise(sigma), 7, sigma_new=blocks.new)
+    factors = schur_factors(abs_entrywise(sigma), 7)
     block_val = kl_cost_block(w[:7], w[7:], blocks, factors)
     full_val = kl_cost_full(w, sigma)
     assert abs(block_val - full_val) <= 1e-10 * abs(full_val)
@@ -167,7 +165,7 @@ def test_block_full_equality_many_random_plugins():
         w = random_torus(rng, l)
         for p in range(1, l):
             blocks = partition(sigma, p)
-            factors = schur_factors(abs_entrywise(sigma), p, sigma_new=blocks.new)
+            factors = schur_factors(abs_entrywise(sigma), p)
             kl_b = kl_cost_block(w[:p], w[p:], blocks, factors)
             kl_f = kl_cost_full(w, sigma)
             assert abs(kl_b - kl_f) <= 1e-9 * abs(kl_f)
@@ -181,7 +179,7 @@ def test_costs_invariant_under_global_phase():
     sigma = random_plugin(rng, 8)
     w = random_torus(rng, 8)
     blocks = partition(sigma, 5)
-    factors = schur_factors(abs_entrywise(sigma), 5, sigma_new=blocks.new)
+    factors = schur_factors(abs_entrywise(sigma), 5)
     rot = np.exp(1j * rng.uniform(-np.pi, np.pi))
     for fn, args in (
         (kl_cost_full, (sigma,)),

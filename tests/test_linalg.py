@@ -224,16 +224,6 @@ def test_schur_factors_toeplitz_vs_dense_inverse_oracle():
     assert rel < 1e-8
 
 
-def test_schur_factors_attaches_m_mat():
-    rng = np.random.default_rng(10)
-    sigma = random_cov(rng, 6) + 0.2 * np.eye(6)
-    psi = abs_entrywise(sigma)
-    blocks = partition(sigma, 4)
-    factors = schur_factors(psi, 4, sigma_new=blocks.new)
-    assert factors.m_mat is not None
-    assert np.array_equal(factors.m_mat, factors.d_inv * blocks.new)
-
-
 def test_schur_oracle_over_random_spd_matrices():
     # assembled block inverse == direct inverse for many sizes and splits
     rng = np.random.default_rng(11)

@@ -267,8 +267,7 @@ def test_sequential_raster_pixels_are_single_solves_of_their_plugins(distance):
             blocks = partition(sigma[row][col], p)
             try:
                 if distance == "kl":
-                    factors = schur_factors(abs_entrywise(sigma[row][col]), p,
-                                            sigma_new=blocks.new)
+                    factors = schur_factors(abs_entrywise(sigma[row][col]), p)
                     report = solve_seq_kl(blocks, factors, w_past, cfg)
                 else:
                     report = solve_seq_frob(blocks, w_past, cfg)

@@ -32,7 +32,7 @@ from seqlink import (
 )
 import seqlink.solvers
 from seqlink.bench import BENCH_SOLVER
-from seqlink.solvers import frob_seq_terms
+from seqlink.solvers import frob_seq_terms, kl_seq_terms
 
 
 def random_torus(rng, dim):
@@ -183,8 +183,20 @@ def test_offline_frob_matches_grid_search_at_l_two():
 
 def seq_inputs(sigma, p):
     blocks = partition(sigma, p)
-    factors = schur_factors(abs_entrywise(sigma), p, sigma_new=blocks.new)
+    factors = schur_factors(abs_entrywise(sigma), p)
     return blocks, factors
+
+
+def test_kl_seq_terms_read_only_d_inv_and_a():
+    rng = np.random.default_rng(10)
+    sigma = scm(random_stack(rng, 18, 6)) + 0.2 * np.eye(6)
+    blocks, factors = seq_inputs(sigma, 4)
+    w_past = random_torus(rng, 4)
+    m_mat, n_vec = kl_seq_terms(blocks, factors, w_past)
+    assert np.array_equal(m_mat, factors.d_inv * blocks.new)
+    assert np.allclose(n_vec, -(factors.a_mat * blocks.cross) @ w_past,
+                       rtol=0.0, atol=1e-14)
+    assert factors._f_inv is None
 
 
 def test_seq_kl_recovers_noiseless_new_phases():
@@ -466,7 +478,7 @@ def test_fast_kl_iteration_counts_stay_low():
 def frob_problems(rng, count, k=6, p=5):
     """A mix of offline (b = 0) and sequential least-squares problems with
     one shared size, including a decoupled (all-zero) coordinate."""
-    hs, bs, consts = [], [], []
+    hs, bs = [], []
     for i in range(count):
         sigma = estimate(random_stack(rng, 3 * (k + p), k + p),
                          PluginSpec("po" if i % 2 else "scm"))
@@ -476,31 +488,28 @@ def frob_problems(rng, count, k=6, p=5):
                 sigma[2, :] = sigma[:, 2] = 0.0
             hs.append(2.0 * abs_entrywise(sigma) * sigma)
             bs.append(np.zeros(k))
-            consts.append(0.0)
         else:
             blocks = partition(sigma, p)
-            h, b, const = frob_seq_terms(blocks.past, blocks.cross, blocks.new,
-                                         random_torus(rng, p))
+            h, b = frob_seq_terms(blocks.cross, blocks.new,
+                                  random_torus(rng, p))
             hs.append(h)
             bs.append(b)
-            consts.append(const)
-    return np.array(hs), np.array(bs), np.array(consts)
+    return np.array(hs), np.array(bs)
 
 
 def test_frob_mm_result_does_not_depend_on_the_batch():
     rng = np.random.default_rng(80)
-    h, b, const = frob_problems(rng, 12)
+    h, b = frob_problems(rng, 12)
     # a budget that some problems exhaust and others do not
     cfg = MMConfig(max_iters=300, tol=1e-8)
-    alone = [torus_mm(h[i:i + 1], b[i:i + 1], const[i:i + 1], cfg, trace=True)
+    alone = [torus_mm(h[i:i + 1], b[i:i + 1], cfg, trace=True)
              for i in range(12)]
     assert len({int(a.iterations[0]) for a in alone}) > 3
     assert {bool(a.converged[0]) for a in alone} == {True, False}
     batches = [np.arange(12), np.arange(12)[::-1], rng.permutation(12)[:5],
                np.array([3, 3, 7]), rng.permutation(12)[:2]]
     for members in batches:
-        batch = torus_mm(h[members], b[members], const[members], cfg,
-                        trace=True)
+        batch = torus_mm(h[members], b[members], cfg, trace=True)
         for j, i in enumerate(members):
             assert np.array_equal(batch.phases[j], alone[i].phases[0])
             assert batch.iterations[j] == alone[i].iterations[0]
@@ -519,14 +528,15 @@ def test_frob_mm_cost_trace_never_rises_and_is_the_objective():
         sigmas = [scm(random_stack(rng, 2 * (k + p), k + p)) for _ in range(6)]
         w_past = np.array([random_torus(rng, p) for _ in sigmas])
         blocks = [partition(s, p) for s in sigmas]
-        h, b, const = frob_seq_terms(
-            np.array([bl.past for bl in blocks]),
-            np.array([bl.cross for bl in blocks]),
-            np.array([bl.new for bl in blocks]), w_past)
+        h, b = frob_seq_terms(np.array([bl.cross for bl in blocks]),
+                              np.array([bl.new for bl in blocks]), w_past)
         cfg = MMConfig(max_iters=40, tol=0.0, init=random_torus(rng, k))
-        batch = torus_mm(h, b, const, cfg, trace=True)
+        batch = torus_mm(h, b, cfg, trace=True)
         for j, bl in enumerate(blocks):
-            trace = batch.cost_trace[:, j]
+            # torus_mm leaves out the constant past term; add it back
+            const = -2.0 * quad_form(w_past[j],
+                                     abs_entrywise(bl.past) * bl.past)
+            trace = batch.cost_trace[:, j] + const
             worst = max(worst, float(np.max(np.diff(trace)) / abs(trace[0])))
             final = frob_cost_block(w_past[j], batch.phases[j], bl)
             assert abs(trace[-1] - final) <= 1e-12 * abs(final)
@@ -537,14 +547,14 @@ def test_frob_mm_keeps_the_previous_iterate_on_zero_coefficients():
     h = np.zeros((2, 3, 3), dtype=complex)
     h[:, :2, :2] = [[2.0, 1.0], [1.0, 2.0]]
     start = np.exp(1j * np.array([0.3, -0.2, 1.1]))
-    batch = torus_mm(h, 0.0, 0.0, MMConfig(max_iters=50, tol=1e-14, init=start))
+    batch = torus_mm(h, 0.0, MMConfig(max_iters=50, tol=1e-14, init=start))
     assert np.array_equal(batch.phases[:, 2], np.full(2, start[2]))
     assert batch.converged.all()
 
 
-def reference_plain_mm(h, b, const, cfg):
+def reference_plain_mm(h, b, cfg):
     """Plain least-squares MM on one problem, written out step by step:
-    the bordered matrix [[H, b], [bᴴ, -const]], w⁺ = Φ(H w + b) keeping w on
+    the bordered matrix [[H, b], [bᴴ, 0]], w⁺ = Φ(H w + b) keeping w on
     zero coefficients, and MMConfig's stopping rule. The arithmetic torus_mm
     must keep without a shift. Returns (phases, iterations, converged)."""
     dim = len(h)
@@ -552,7 +562,7 @@ def reference_plain_mm(h, b, const, cfg):
     mat[0, :dim, :dim] = h
     mat[0, :dim, dim] = b
     mat[0, dim, :dim] = np.conj(b)
-    mat[0, dim, dim] = -const
+    mat[0, dim, dim] = 0.0
     w = np.ones((1, dim + 1), dtype=complex)
     if cfg.init is not None:
         w[0, :dim] = cfg.init
@@ -571,13 +581,13 @@ def reference_plain_mm(h, b, const, cfg):
 
 def test_frob_mm_without_shift_is_the_reference_plain_mm():
     rng = np.random.default_rng(82)
-    h, b, const = frob_problems(rng, 12)
+    h, b = frob_problems(rng, 12)
     for cfg in (MMConfig(max_iters=300, tol=1e-8),
                 MMConfig(max_iters=40, tol=0.0, init=random_torus(rng, 6))):
-        batch = torus_mm(h, b, const, cfg)
+        batch = torus_mm(h, b, cfg)
         for i in range(12):
-            phases, iterations, converged = reference_plain_mm(
-                h[i], b[i], const[i], cfg)
+            phases, iterations, converged = reference_plain_mm(h[i], b[i],
+                                                               cfg)
             assert np.array_equal(batch.phases[i], phases)
             assert batch.iterations[i] == iterations
             assert batch.converged[i] == converged
@@ -607,12 +617,12 @@ def test_momentum_traces_never_rise_with_restarts_at_different_steps(
     restarts = []
     for i in range(count):
         calls.clear()
-        one = torus_mm(-h[i:i + 1], 0.0, 0.0, cfg, shift=lam[i:i + 1],
+        one = torus_mm(-h[i:i + 1], 0.0, cfg, shift=lam[i:i + 1],
                        w0=starts[i:i + 1])
         # one step per iteration, plus one plain step per restart
         restarts.append(len(calls) - int(one.iterations[0]))
     assert min(restarts) > 0 and len(set(restarts)) > 1
-    batch = torus_mm(-h, 0.0, 0.0, cfg, trace=True, shift=lam, w0=starts)
+    batch = torus_mm(-h, 0.0, cfg, trace=True, shift=lam, w0=starts)
     for j in range(count):
         trace = batch.cost_trace[:, j]
         trace = trace[~np.isnan(trace)]
@@ -654,7 +664,7 @@ def record_steps(monkeypatch):
 
 def assert_rows_are_single_solves(batch, h, b, shift, cfg):
     for i in range(len(h)):
-        one = torus_mm(h[i:i + 1], b[i:i + 1], 0.0, cfg, trace=True,
+        one = torus_mm(h[i:i + 1], b[i:i + 1], cfg, trace=True,
                        shift=None if shift is None else shift[i:i + 1])
         steps = int(one.iterations[0]) + 1
         assert np.array_equal(batch.phases[i], one.phases[0])
@@ -676,11 +686,11 @@ def test_torus_mm_compaction_keeps_each_problem_its_single_solve(monkeypatch):
                          for _ in range(fixed)])
 
     # least squares, shift None
-    h, b, _ = frob_problems(rng, 4, k=dim)
+    h, b = frob_problems(rng, 4, k=dim)
     h = np.concatenate([diagonal, h[1:3]])
     b = np.concatenate([np.zeros((fixed, dim)), b[1:3]])
     cfg = MMConfig(max_iters=400, tol=1e-14)
-    batch = torus_mm(h, b, 0.0, cfg, trace=True)
+    batch = torus_mm(h, b, cfg, trace=True)
     assert (batch.iterations[:fixed] == 1).all()
     assert (batch.iterations[fixed:] > 10).all()
     assert_rows_are_single_solves(batch, h, b, None, cfg)
@@ -694,7 +704,7 @@ def test_torus_mm_compaction_keeps_each_problem_its_single_solve(monkeypatch):
     stops, restarts = [], []
     for i in range(len(sigma)):
         finish = record_steps(monkeypatch)
-        one = torus_mm(-kl_h[i:i + 1], 0.0, 0.0, cfg, shift=lam[i:i + 1])
+        one = torus_mm(-kl_h[i:i + 1], 0.0, cfg, shift=lam[i:i + 1])
         stops.append(int(one.iterations[0]))
         restarts.append({n + 2 for n, sizes in enumerate(finish())
                          if len(sizes) == 2})
@@ -704,7 +714,7 @@ def test_torus_mm_compaction_keeps_each_problem_its_single_solve(monkeypatch):
     shift = np.concatenate([np.full(fixed, 2.0), lam[[y, z]]])
     b = np.zeros((len(h), dim))
     finish = record_steps(monkeypatch)
-    batch = torus_mm(h, 0.0, 0.0, cfg, trace=True, shift=shift)
+    batch = torus_mm(h, 0.0, cfg, trace=True, shift=shift)
     steps = finish()
     # compacted to y and z after step 1, to y alone after z's stop, which is
     # a step where y's momentum restarts
@@ -753,8 +763,7 @@ def single_solve(sigma, distance, w_past, cfg):
     blocks = partition(sigma, w_past.size)
     if distance == "frob":
         return solve_seq_frob(blocks, w_past, cfg)
-    factors = schur_factors(abs_entrywise(sigma), w_past.size,
-                            sigma_new=blocks.new)
+    factors = schur_factors(abs_entrywise(sigma), w_past.size)
     return solve_seq_kl(blocks, factors, w_past, cfg)
 
 
@@ -792,3 +801,35 @@ def test_fit_rows_are_single_solves_and_a_failed_row_is_nan(distance,
 def test_fit_rejects_an_unknown_distance():
     with pytest.raises(ValueError, match="cosine"):
         fit(np.eye(3, dtype=complex)[None], MMConfig(), "cosine")
+
+
+def test_frob_update_reads_no_past_block():
+    """Two stacks that differ only in their Hermitian past blocks, one with
+    a constant past term a hundred times larger, fit to the same bits."""
+    rng = np.random.default_rng(94)
+    l, p, count = 9, 6, 8
+    sigma = np.array([scm(random_stack(rng, 2 * l, l)) for _ in range(count)])
+    other = sigma.copy()
+    other[:, :p, :p] = [100.0 * scm(random_stack(rng, 2 * p, p))
+                        for _ in range(count)]
+    w_past = np.array([random_torus(rng, p) for _ in range(count)])
+    cfg = MMConfig(max_iters=5000, tol=1e-10)
+    first = fit(sigma, cfg, "frob", w_past)
+    second = fit(other, cfg, "frob", w_past)
+    assert first.converged.all()
+    assert np.array_equal(first.phases, second.phases)
+    assert np.array_equal(first.iterations, second.iterations)
+
+
+def test_kl_update_never_forms_the_past_corner_of_the_inverse(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a sequential fit formed F⁻¹")
+
+    monkeypatch.setattr(seqlink.linalg.SchurFactors, "f_inv", refuse)
+    rng = np.random.default_rng(95)
+    l, p, count = 9, 6, 5
+    sigma = np.array([scm(random_stack(rng, 3 * l, l)) for _ in range(count)])
+    w_past = np.array([random_torus(rng, p) for _ in range(count)])
+    batch = fit(sigma, BENCH_SOLVER, "kl", w_past)
+    assert batch.phases.shape == (count, l - p)
+    assert batch.converged.all()
