@@ -27,16 +27,20 @@ from .linalg import abs_entrywise, partition, schur_factors
 from .plugins import PluginSpec, estimate, regularize, scm
 from .raster import _run_rows
 from .simulate import SimulationConfig, ground_truth, sample_stack
-# solve_offline_frob and solve_offline_kl are not called here; they stay
-# importable from this module because perfbench/spans.py wraps them here
+# the four solve_* functions are not called here; they stay importable
+# from this module because perfbench/spans.py wraps them here
 from .solvers import (  # noqa: F401
     MMConfig,
+    _seq_kl,
     check_distance,
     fit,
+    frob_seq_terms,
+    kl_seq_terms,
     solve_offline_frob,
     solve_offline_kl,
     solve_seq_frob,
     solve_seq_kl,
+    torus_mm,
 )
 
 MODES = ("offline", "sequential", "multiblock")
@@ -298,7 +302,8 @@ def timing_experiment(
 
     Identical plug-in input for both arms; both run a fixed iteration count
     so the comparison reflects per-solve work, not stopping behavior. The
-    sequential arm (seq_ms) starts from already-available past factors,
+    sequential arm (seq_ms) runs what fit runs once the partition and Schur
+    factors exist (kl_seq_terms or frob_seq_terms, then torus_mm, no trace),
     matching its operating regime where past-block quantities persist
     between acquisitions; seq_fit_ms times the same update as one fit call,
     which builds the partition and, for the spectral fit, the Schur factors
@@ -317,26 +322,27 @@ def timing_experiment(
     stack = sample_stack(sigma_true, sim)
     sigma_hat = regularize(scm(stack), PluginSpec(regularizer="shrink"))
     cfg = MMConfig(max_iters=iters, tol=0.0)
-    w_past = w_true[:p]
+    w_past = w_true[None, :p]
 
-    blocks = partition(sigma_hat, p)
+    blocks = partition(sigma_hat[None], p)
     if distance == "kl":
-        factors = schur_factors(abs_entrywise(sigma_hat), p)
+        factors = schur_factors(abs_entrywise(sigma_hat[None]), p)
 
         def run_seq():
-            return solve_seq_kl(blocks, factors, w_past, cfg)
+            return _seq_kl(*kl_seq_terms(blocks, factors, w_past), cfg)
     else:
         def run_seq():
-            return solve_seq_frob(blocks, w_past, cfg)
+            return torus_mm(*frob_seq_terms(blocks.cross, blocks.new, w_past),
+                            cfg)
 
     # fit may overwrite its input
     def run_seq_fit():
-        return fit(sigma_hat[None].copy(), cfg, distance, w_past[None])
+        return fit(sigma_hat[None].copy(), cfg, distance, w_past)
 
     def run_offline():
         return fit(sigma_hat[None].copy(), cfg, distance)
 
-    # warm caches (lazy factor products, BLAS paths)
+    # warm caches (BLAS paths)
     for run in (run_seq, run_seq_fit, run_offline):
         run()
 

@@ -201,18 +201,19 @@ def int_list(text: str) -> list[int]:
 
 
 def cmd_timing(args) -> int:
+    # print each row as it is timed, so a failure at one p keeps earlier rows
     lines = [TIMING_HEADER]
+    print(TIMING_HEADER, flush=True)
     for p in args.p:
         result = timing_experiment(p, args.k, args.distance, args.reps)
         ratio = result["seq_ms"] / result["offline_ms"]
         lines.append(f"{p},{args.k},{args.distance},{result['seq_ms']!r},"
                      f"{result['offline_ms']!r},{ratio!r},"
                      f"{result['seq_fit_ms']!r}")
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
+        print(lines[-1], flush=True)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines) + "\n")
         write_manifest(manifest_path_for(args.out), "timing", {
             "p": ",".join(map(str, args.p)), "k": args.k,
             "distance": args.distance,

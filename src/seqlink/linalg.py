@@ -1,18 +1,19 @@
-"""Dense Hermitian kernel: Hadamard products, entrywise modulus,
-positive-definite inversion, block partitioning, Schur-complement block
-inverse and the largest eigenvalue. The Schur factors hold what a sequential
-fit reads, A and D⁻¹; the past corner F⁻¹ is built only when asked for.
+"""Dense Hermitian kernel: Hadamard products, entrywise modulus, Cholesky
+with a jitter rescue, positive-definite inversion, block partitioning,
+Schur-complement block inverse and the largest eigenvalue. The Schur factors
+hold what a sequential fit reads, A and D⁻¹, from one solve with the past
+block; the past corner F⁻¹ is built only when asked for.
 
 Everything here operates on plain numpy arrays and is pure: no function
 mutates its inputs, so values can be shared freely between pixel workers.
-pd_inverse, partition, schur_factors and largest_eigenvalue also take a
-stack of matrices along leading axes; numpy's stacked factorizations and
-products treat each matrix as if it were alone, so a stacked result is the
-same, bit for bit, as the matrix's own.
+jittered_cholesky, pd_inverse, partition, schur_factors and
+largest_eigenvalue also take a stack of matrices along leading axes; numpy's
+stacked factorizations, solves and products treat each matrix as if it were
+alone, so a stacked result is the same, bit for bit, as the matrix's own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,36 +43,36 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
-    """A⁻¹ = L⁻ᴴL⁻¹ from the Cholesky factor A = LLᴴ; raises LinAlgError
-    unless every matrix of the stack is positive definite."""
-    l_inv = np.linalg.inv(np.linalg.cholesky(a))
-    return l_inv.conj().mT @ l_inv
+def jittered_cholesky(a: np.ndarray, jitter: float = DEFAULT_JITTER):
+    """(L, a') with a' = LLᴴ: a itself when it is positive definite, else,
+    if jitter > 0, a with jitter*(trace/dim) added to its diagonal.
 
-
-def pd_inverse(a: np.ndarray, jitter: float = DEFAULT_JITTER) -> np.ndarray:
-    """Invert a symmetric/Hermitian positive-definite matrix via Cholesky.
-
-    If the factorization fails and jitter > 0, retries once after adding
-    jitter*(trace/dim) to the diagonal; raises NotPositiveDefinite if that
-    also fails. A stack fails, or is rescued, as a whole.
+    Raises NotPositiveDefinite if neither factors. A stack fails, or is
+    rescued, as a whole.
     """
     a = np.asarray(a)
     dim = a.shape[-1]
     try:
-        return _cholesky_inverse(a)
+        return np.linalg.cholesky(a), a
     except np.linalg.LinAlgError:
         pass
     if jitter > 0:
         bump = jitter * (np.trace(a, axis1=-2, axis2=-1).real / dim)
+        a = a + np.multiply.outer(bump, np.eye(dim, dtype=a.dtype))
         try:
-            return _cholesky_inverse(
-                a + np.multiply.outer(bump, np.eye(dim, dtype=a.dtype)))
+            return np.linalg.cholesky(a), a
         except np.linalg.LinAlgError:
             pass
     raise NotPositiveDefinite(
         f"{dim}x{dim} matrix is not positive definite (jitter={jitter})"
     )
+
+
+def pd_inverse(a: np.ndarray, jitter: float = DEFAULT_JITTER) -> np.ndarray:
+    """Invert a symmetric/Hermitian positive-definite matrix as L⁻ᴴL⁻¹ from
+    its Cholesky factor, with jittered_cholesky's rescue."""
+    l_inv = np.linalg.inv(jittered_cholesky(a, jitter)[0])
+    return l_inv.conj().mT @ l_inv
 
 
 @dataclass
@@ -116,42 +117,37 @@ def reassemble(blocks: BlockCov) -> np.ndarray:
 class SchurFactors:
     """Blockwise inverse data of a real coherence matrix split at p.
 
-    With psi = [[P, Qᵀ], [Q, N]] (P = past coherence, Q = cross, N = new),
-    D = N - Q P⁻¹ Qᵀ and the full inverse assembles as [[F⁻¹, Aᵀ], [A, D⁻¹]]
-    where A = -D⁻¹ Q P⁻¹ and F⁻¹ = P⁻¹ + P⁻¹ Qᵀ D⁻¹ Q P⁻¹.
+    With psi = [[P, Qᵀ], [Q, N]] (P = past coherence, Q = cross, N = new)
+    and X = P⁻¹Qᵀ, D = N - QX and the full inverse assembles as
+    [[F⁻¹, Aᵀ], [A, D⁻¹]] where A = -D⁻¹Xᵀ and F⁻¹ = P⁻¹ + XD⁻¹Xᵀ.
 
-    F⁻¹ only feeds the constant past term of the block objective, which a
-    sequential fit leaves out; the cost oracles and traces that report the
-    whole objective build it lazily on first use, and it is cached.
+    A sequential fit reads only A and D⁻¹. F⁻¹ feeds the constant past term
+    of the block objective, which the fit leaves out; the cost oracles and
+    traces that report the whole objective build it on each f_inv call, from
+    the past block (jittered, if it was rescued) and X.
     """
 
-    psi_p_inv: np.ndarray
     d_inv: np.ndarray
     a_mat: np.ndarray
-    _cross: np.ndarray | None = None
-    _f_inv: np.ndarray | None = field(default=None, repr=False)
+    past: np.ndarray
+    x: np.ndarray
 
     def f_inv(self) -> np.ndarray:
-        if self._f_inv is None:
-            if self._cross is None:
-                raise ValueError("factors were built without the cross block")
-            qp = self._cross @ self.psi_p_inv  # k x p
-            self._f_inv = self.psi_p_inv + qp.mT @ self.d_inv @ qp
-        return self._f_inv
+        return pd_inverse(self.past, 0.0) + self.x @ self.d_inv @ self.x.mT
 
 
 def schur_factors(psi: np.ndarray, p: int,
                   jitter: float = DEFAULT_JITTER) -> SchurFactors:
-    """Blockwise inverse of a real SPD coherence matrix split at column p."""
-    psi = np.asarray(psi)
-    blocks = partition(psi, p)
-    psi_p_inv = pd_inverse(blocks.past, jitter)
-    d = blocks.new - blocks.cross @ psi_p_inv @ blocks.cross.mT
+    """Blockwise inverse of a real SPD coherence matrix split at column p,
+    from one Cholesky check of the past block and one solve with it; no
+    p x p inverse is formed."""
+    blocks = partition(np.asarray(psi), p)
+    past = jittered_cholesky(blocks.past, jitter)[1]
+    x = np.linalg.solve(past, blocks.cross.mT)
+    d = blocks.new - blocks.cross @ x
     d = (d + d.mT) / 2
     d_inv = pd_inverse(d, jitter)
-    a_mat = -d_inv @ blocks.cross @ psi_p_inv
-    return SchurFactors(psi_p_inv=psi_p_inv, d_inv=d_inv, a_mat=a_mat,
-                        _cross=blocks.cross)
+    return SchurFactors(d_inv=d_inv, a_mat=-d_inv @ x.mT, past=past, x=x)
 
 
 def assemble_block_inverse(factors: SchurFactors) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .linalg import DEFAULT_JITTER, hermitize
+from .linalg import DEFAULT_JITTER, hermitize, jittered_cholesky
 from .plugins import unit_phasors
 
 DISTRIBUTIONS = ("gaussian", "scaled_gaussian")
@@ -84,22 +84,15 @@ def build_true_covariance(psi: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _matrix_sqrt(sigma: np.ndarray, jitter: float = DEFAULT_JITTER) -> np.ndarray:
     """Lower-triangular (or eigenvector-based) L with L Lᴴ = sigma.
 
-    Cholesky first, retried once with the relative jitter used elsewhere;
-    positive semidefinite but singular inputs (e.g. Σ = 0) fall back to an
-    eigendecomposition with tiny negative eigenvalues clipped to zero.
+    Cholesky with linalg's jitter rescue; positive semidefinite but singular
+    inputs (e.g. Σ = 0) fall back to an eigendecomposition with tiny negative
+    eigenvalues clipped to zero.
     """
     sigma = np.asarray(sigma, dtype=complex)
     try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
+        return jittered_cholesky(sigma, jitter)[0]
+    except NotPositiveDefinite:
         pass
-    dim = sigma.shape[0]
-    bump = jitter * max(float(np.real(np.trace(sigma))) / dim, 0.0)
-    if bump > 0.0:
-        try:
-            return np.linalg.cholesky(sigma + bump * np.eye(dim))
-        except np.linalg.LinAlgError:
-            pass
     values, vectors = np.linalg.eigh(hermitize(sigma))
     top = max(float(values[-1]), 0.0)
     if float(values[0]) < -1e-8 * max(top, 1.0):

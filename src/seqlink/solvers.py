@@ -411,7 +411,7 @@ def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
 
     numpy's stacked Cholesky fails for the whole stack when one |Σ| is not
     positive definite, so such a spectral-fit stack is rerun one problem at
-    a time, each with pd_inverse's jitter rescue. A problem that still
+    a time, each with jittered_cholesky's rescue. A problem that still
     raises a solver or linear-algebra error gets NaN phases, 0 iterations
     and converged False; the others are unaffected, since no problem's
     result depends on the rest of its stack. May overwrite sigma.

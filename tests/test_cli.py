@@ -272,6 +272,18 @@ def test_timing_runs_one_row_per_past_length(tmp_path):
     assert manifest["p"] == "8,12" and manifest["status"] == "ok"
 
 
+def test_timing_prints_the_rows_timed_before_a_failing_past_length(tmp_path):
+    out = tmp_path / "t.csv"
+    result = run_cli("timing", "--p", "8,1", "--k", 2, "--reps", 5,
+                     "--out", out)
+    assert result.returncode == 2
+    assert "need p >= k >= 1" in result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "p,k,distance,seq_ms,offline_ms,ratio,seq_fit_ms"
+    assert len(lines) == 2 and lines[1].split(",")[:3] == ["8", "2", "kl"]
+    assert not out.exists()
+
+
 def test_timing_rejects_bad_shape():
     result = run_cli("timing", "--p", 2, "--k", 5, "--reps", 5)
     assert result.returncode == 2

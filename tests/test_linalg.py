@@ -201,7 +201,7 @@ def test_schur_factors_two_by_two_closed_form():
     assert np.isclose(f.d_inv[0, 0], 1 / d, atol=1e-12)
     assert np.isclose(f.a_mat[0, 0], -rho / d, atol=1e-12)
     assert np.isclose(f.f_inv()[0, 0], 1 / d, atol=1e-12)
-    assert np.isclose(f.psi_p_inv[0, 0], 1.0, atol=1e-15)
+    assert np.isclose(f.x[0, 0], rho, atol=1e-15)
 
 
 @pytest.mark.parametrize("p", [2, 5])
@@ -249,6 +249,21 @@ def test_schur_product_of_psd_pair_is_psd():
         m = hermitize(d_inv * sigma_n)
         eigs = np.linalg.eigvalsh(m)
         assert eigs[0] >= -1e-10 * max(eigs[-1], 1e-300)
+
+
+def test_schur_factors_rescue_a_singular_past_block_by_jitter():
+    # dates 0 and 1 are the same acquisition, so the past block is singular
+    base = scipy.linalg.toeplitz(0.8 ** np.arange(8))
+    psi = base[np.ix_([0, 0, *range(1, 8)], [0, 0, *range(1, 8)])]
+    p = 6
+    f = schur_factors(psi, p, jitter=1e-9)
+    jittered = psi.copy()
+    jittered[:p, :p] += 1e-9 * np.trace(psi[:p, :p]) / p * np.eye(p)
+    last_rows = np.linalg.inv(jittered)[p:]
+    for got, want in ((f.a_mat, last_rows[:, :p]), (f.d_inv, last_rows[:, p:])):
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+    with pytest.raises(NotPositiveDefinite):
+        schur_factors(psi, p, jitter=0.0)
 
 
 def test_schur_factors_propagates_not_positive_definite():

@@ -196,7 +196,6 @@ def test_kl_seq_terms_read_only_d_inv_and_a():
     assert np.array_equal(m_mat, factors.d_inv * blocks.new)
     assert np.allclose(n_vec, -(factors.a_mat * blocks.cross) @ w_past,
                        rtol=0.0, atol=1e-14)
-    assert factors._f_inv is None
 
 
 def test_seq_kl_recovers_noiseless_new_phases():
@@ -819,6 +818,24 @@ def test_frob_update_reads_no_past_block():
     assert first.converged.all()
     assert np.array_equal(first.phases, second.phases)
     assert np.array_equal(first.iterations, second.iterations)
+
+
+def test_kl_update_inverts_nothing_wider_than_the_new_block(monkeypatch):
+    rng = np.random.default_rng(96)
+    l, p, count = 35, 30, 8
+    sigma = np.array([scm(random_stack(rng, 3 * l, l)) for _ in range(count)])
+    w_past = np.array([random_torus(rng, p) for _ in range(count)])
+    widths = []
+    inv = np.linalg.inv
+
+    def spy(a):
+        widths.append(np.shape(a)[-1])
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    batch = fit(sigma, BENCH_SOLVER, "kl", w_past)
+    assert batch.converged.all()
+    assert widths and max(widths) <= l - p
 
 
 def test_kl_update_never_forms_the_past_corner_of_the_inverse(monkeypatch):
