@@ -4,8 +4,8 @@ one solve at large stack depths.
 
 Every trial owns a seed derived from (master_seed, n, trial index), so curves
 for different modes, distances, and plug-ins are paired draw-for-draw. Each
-mode is a set of arms, and each arm a chain of date bounds: the first fitted
-offline, each later one sequentially given the fit before it. Each trial
+mode is a set of arms, and each arm a chain of date bounds, each fitted given
+the fit before it, the first from an empty past (offline). Each trial
 draws its samples once and builds one unregularized plug-in over all dates;
 the plug-in of date bound d is plugins.regularize of its leading d x d block,
 so a trial's past fit and its update read the same past block. One worker
@@ -31,16 +31,13 @@ from .simulate import SimulationConfig, ground_truth, sample_stack
 # from this module because perfbench/spans.py wraps them here
 from .solvers import (  # noqa: F401
     MMConfig,
-    _seq_kl,
+    _solve,
     check_distance,
     fit,
-    frob_seq_terms,
-    kl_seq_terms,
     solve_offline_frob,
     solve_offline_kl,
     solve_seq_frob,
     solve_seq_kl,
-    torus_mm,
 )
 
 MODES = ("offline", "sequential", "multiblock")
@@ -156,13 +153,11 @@ def _raw_plugins(cfg, sigma_true, sim, trials):
                      for seed in seeds])
 
 
-def _fit(cfg, sigma, w_past=None):
-    """The phases of a (T, d, d) plug-in stack (see solvers.fit), NaN rows
-    where a solve failed. With w_past (T, p), each row is its past phases
-    followed by the new ones; rows whose past holds NaN are not fitted and
-    stay NaN. sigma is left as it is, since fit may overwrite its input."""
-    if w_past is None:
-        return fit(sigma.copy(), cfg.solver, cfg.distance).phases
+def _fit(cfg, sigma, w_past):
+    """Each row of a (T, d, d) plug-in stack fitted given its (T, p) past
+    phases (see solvers.fit): its past phases then the new ones, or NaN where
+    a solve failed or the past holds NaN. fit reads a copy of sigma's rows,
+    since it may overwrite its input."""
     p = w_past.shape[-1]
     out = np.full((len(sigma), sigma.shape[-1]), np.nan, dtype=complex)
     out[:, :p] = w_past
@@ -233,7 +228,7 @@ def _arm_errors(cfg: ExperimentConfig, n: int, threads: int) -> dict:
         full = _raw_plugins(cfg, sigma_true, sim, trials)
         theta_hat = {}
         for arm, chain in arms.items():
-            phases = None  # the first link is offline
+            phases = np.ones((len(trials), 0))  # the empty past: offline
             for bound in chain:
                 sigma = full[:, :bound, :bound]
                 phases = _fit(cfg, sigma if cfg.inject_truth
@@ -303,7 +298,7 @@ def timing_experiment(
     Identical plug-in input for both arms; both run a fixed iteration count
     so the comparison reflects per-solve work, not stopping behavior. The
     sequential arm (seq_ms) runs what fit runs once the partition and Schur
-    factors exist (kl_seq_terms or frob_seq_terms, then torus_mm, no trace),
+    factors exist (solvers._solve, the helper fit calls, with no trace),
     matching its operating regime where past-block quantities persist
     between acquisitions; seq_fit_ms times the same update as one fit call,
     which builds the partition and, for the spectral fit, the Schur factors
@@ -325,15 +320,13 @@ def timing_experiment(
     w_past = w_true[None, :p]
 
     blocks = partition(sigma_hat[None], p)
-    if distance == "kl":
-        factors = schur_factors(abs_entrywise(sigma_hat[None]), p)
+    factors = (schur_factors(abs_entrywise(sigma_hat[None]), p)
+               if distance == "kl" else None)
 
-        def run_seq():
-            return _seq_kl(*kl_seq_terms(blocks, factors, w_past), cfg)
-    else:
-        def run_seq():
-            return torus_mm(*frob_seq_terms(blocks.cross, blocks.new, w_past),
-                            cfg)
+    # the least-squares terms overwrite the new block: each run copies it
+    def run_seq():
+        return _solve(distance, replace(blocks, new=blocks.new.copy()),
+                      factors, w_past, cfg)
 
     # fit may overwrite its input
     def run_seq_fit():

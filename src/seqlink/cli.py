@@ -44,9 +44,9 @@ from .stackio import (
 )
 
 
-def _resolve_threads(value: int) -> int:
+def _at_least_one(key: str, value: int) -> int:
     if value < 1:
-        raise ConfigError("threads", "must be >= 1")
+        raise ConfigError(key, "must be >= 1")
     return value
 
 
@@ -109,7 +109,8 @@ def _truth_metrics(raster, truth_angles, mode, win):
 
 
 def cmd_solve(args) -> int:
-    threads = _resolve_threads(args.threads)
+    threads = _at_least_one("threads", args.threads)
+    _at_least_one("window", args.window)
     stack = read_stack(args.stack)
     spec = build_plugin({"estimator": args.estimator,
                          "regularizer": args.regularizer})
@@ -173,7 +174,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    threads = _resolve_threads(args.threads)
+    threads = _at_least_one("threads", args.threads)
     configs, out, echo = load_experiments(_read_text(args.config))
     if args.out:
         out = args.out

@@ -97,11 +97,12 @@ class BlockCov:
 
 
 def partition(m: np.ndarray, p: int) -> BlockCov:
-    """Split an l x l matrix into past (p x p), cross (k x p), new (k x k)."""
+    """Split an l x l matrix into past (p x p), cross (k x p), new (k x k);
+    at p = 0 the past is empty and new is all of m."""
     m = np.asarray(m)
     l = m.shape[-1]
-    if not 1 <= p < l:
-        raise ValueError(f"past length p={p} must satisfy 1 <= p < l={l}")
+    if not 0 <= p < l:
+        raise ValueError(f"past length p={p} must satisfy 0 <= p < l={l}")
     return BlockCov(past=m[..., :p, :p], cross=m[..., p:, :p],
                     new=m[..., p:, p:])
 
@@ -140,12 +141,14 @@ def schur_factors(psi: np.ndarray, p: int,
                   jitter: float = DEFAULT_JITTER) -> SchurFactors:
     """Blockwise inverse of a real SPD coherence matrix split at column p,
     from one Cholesky check of the past block and one solve with it; no
-    p x p inverse is formed."""
+    p x p inverse is formed. At p = 0, d_inv is pd_inverse(psi), bit for bit
+    when psi is exactly symmetric."""
     blocks = partition(np.asarray(psi), p)
     past = jittered_cholesky(blocks.past, jitter)[1]
     x = np.linalg.solve(past, blocks.cross.mT)
     d = blocks.new - blocks.cross @ x
-    d = (d + d.mT) / 2
+    d += d.mT  # in place: at p = 0, d is as large as psi
+    d /= 2
     d_inv = pd_inverse(d, jitter)
     return SchurFactors(d_inv=d_inv, a_mat=-d_inv @ x.mT, past=past, x=x)
 

@@ -2,7 +2,8 @@
 
 The raster is processed row by row. Each row builds every pixel's
 sliding-window plug-in in one pass (plugins.window_estimates) and solves all
-its pixels in one solvers.fit call, one stacked MM under either objective.
+its pixels in one solvers.fit call, one stacked MM under either objective,
+given each pixel's past phases; an offline raster has an empty past.
 Pixels are independent, so the result is byte-identical for any number of
 worker threads.
 """
@@ -169,16 +170,15 @@ def _window_masks(data: np.ndarray, bad: np.ndarray, win: int, depth: int):
 def _process(data: np.ndarray, past, win: int, spec: PluginSpec,
              skip: np.ndarray, cfg: MMConfig, distance: str,
              threads: int) -> PhaseRaster:
-    """fit every pixel of an (l, height, width) stack, row by row.
-
-    past is None for an offline raster, or the (p, height, width) past
-    angles of a sequential one, whose pixels then hold the last l - p dates.
-    Pixels in skip, with all-zero windows or a non-finite entry in their
-    window, or whose fit fails are failed. Non-finite entries are read as 0
-    (from a copy), so no other pixel's plug-in sees them.
+    """fit every pixel of an (l, height, width) stack, row by row, given the
+    (p, height, width) past angles (p = 0 for an offline raster); pixels
+    hold the last l - p dates. Pixels in skip, with all-zero windows or a
+    non-finite entry in their window, or whose fit fails are failed.
+    Non-finite entries are read as 0 (from a copy), so no other pixel's
+    plug-in sees them.
     """
     l, height, width = data.shape
-    count = l if past is None else l - len(past)
+    count = l - len(past)
     bad = ~np.isfinite(data)
     if bad.any():
         data = np.where(bad, 0, data)
@@ -193,7 +193,7 @@ def _process(data: np.ndarray, past, win: int, spec: PluginSpec,
         if not live.any():
             return
         sigma = window_estimates(data, row, win, spec)
-        w_past = None if past is None else np.exp(1j * past[:, row, live].T)
+        w_past = np.exp(1j * past[:, row, live].T)
         batch = fit(sigma if live.all() else sigma[live], cfg, distance, w_past)
         lost = np.isnan(batch.phases).any(axis=1)
         out[:, row, live] = np.angle(batch.phases).T
@@ -213,7 +213,8 @@ def process_stack_offline(
     cfg: MMConfig = MMConfig(),
     threads: int = 1,
 ) -> PhaseRaster:
-    """Estimate all stack phases at every pixel; anchored to the first date.
+    """Estimate all stack phases at every pixel, the sequential estimate
+    from an empty past; anchored to the first date.
 
     Per-pixel failures (non-invertible plug-in, empty signal) yield NaN
     phases and a failed-mask bit instead of aborting the raster; a solve that
@@ -223,7 +224,8 @@ def process_stack_offline(
     if stack.count < 2:
         raise ValueError("need at least two images to link phases")
     skip = np.zeros((stack.height, stack.width), dtype=bool)
-    return _process(stack.data, None, win, spec, skip, cfg, distance, threads)
+    past = np.empty((0, stack.height, stack.width))
+    return _process(stack.data, past, win, spec, skip, cfg, distance, threads)
 
 
 def process_stack_sequential(

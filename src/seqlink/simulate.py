@@ -32,8 +32,8 @@ class SimulationConfig:
     total_phase: float = 2.0
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValueError("l must be >= 1")
+        if self.p < 1 or self.k < 1:
+            raise ValueError(f"p = {self.p} and k = {self.k} must both be >= 1")
         if self.p + self.k != self.l:
             raise ValueError(f"p + k = {self.p + self.k} must equal l = {self.l}")
         if not 0.0 < self.rho < 1.0:

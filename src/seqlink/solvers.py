@@ -1,11 +1,12 @@
 """Majorization-minimization solvers on the unit-modulus torus.
 
-Offline solvers estimate all l phases of a stack at once; sequential solvers
-estimate only the k newest phases given p fixed past phases, touching only
-k-sized (and k x p) objects per iteration. The past block enters a
-sequential objective only as a constant, which the fit leaves out, so a
-spectral-fit update never forms F⁻¹ and a least-squares one never reads
-the past block; only solve_seq_* add it back, to their cost traces.
+A fit estimates the k newest phases of a stack given p fixed past phases,
+through the Schur complement of the coherence, touching only k-sized (and
+k x p) objects per iteration. An offline fit is the same fit with an empty
+past (p = 0), where that complement is all of |Σ|. The past block enters the
+objective only as a constant, which the fit leaves out, so a spectral-fit
+update never forms F⁻¹ and a least-squares one never reads the past block;
+only solve_seq_* add it back, to their cost traces.
 
 Both objectives are Hermitian quadratics on the torus, and one kernel,
 torus_mm, minimizes a whole stack of them at once (say, every pixel of a
@@ -18,11 +19,12 @@ coordinates honest fixed points).
 The least-squares form converges in tens of plain MM steps. The spectral-fit
 (KL) form shifts its steps by the exact largest eigenvalue and adds
 restarted momentum, which cuts its iteration counts from thousands to about
-a hundred at l=40; offline, it starts from the EMI estimate, the phase of
-the smallest eigenvector of Ψ⁻¹∘Σ (Ansari, De Zan & Bamler, IEEE TGRS 2018).
-fit runs either objective, offline or sequential, on a stack of plug-ins;
-the raster and the Monte Carlo bench solve through it. The solve_* functions
-are its one-problem forms, with cost traces.
+a hundred at l=40. With an empty past it starts from the EMI estimate, the
+phase of the smallest eigenvector of Ψ⁻¹∘Σ (Ansari, De Zan & Bamler, IEEE
+TGRS 2018); that start and anchoring to the first date are all an empty past
+changes. fit runs either objective on a stack of plug-ins; the raster and
+the Monte Carlo bench solve through it, and the solve_* functions are its
+one-problem forms, with cost traces.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from .linalg import (
     hadamard,
     largest_eigenvalue,
     partition,
-    pd_inverse,
+    pd_inverse,  # noqa: F401  (not called here; perfbench/spans.py wraps it)
     schur_factors,
 )
 from .plugins import unit_phasors
@@ -61,8 +63,8 @@ class MMConfig:
 
     Stops when |cost_t - cost_{t-1}| <= tol * max(1, |cost_t|), or at
     max_iters; cost_t leaves out a sequential problem's constant past term.
-    init=None starts the offline spectral-fit solver from the EMI estimate
-    and every other solver from the all-ones (zero phase) vector.
+    init=None starts a spectral fit with an empty past from the EMI estimate
+    and every other fit from the all-ones (zero phase) vector.
     """
 
     max_iters: int = 100
@@ -273,6 +275,11 @@ def _single(batch: BatchReport, const: float = 0.0) -> SolveReport:
     )
 
 
+def _one(parts):
+    """A copy of a BlockCov or SchurFactors with a stack axis of one."""
+    return type(parts)(**{k: np.array(x)[None] for k, x in vars(parts).items()})
+
+
 def kl_seq_terms(blocks: BlockCov, factors: SchurFactors, w_past):
     """torus_mm's (M, n) for the sequential spectral-fit problem, which is
     torus_mm(-M, n) shifted by λ_max(M).
@@ -281,66 +288,89 @@ def kl_seq_terms(blocks: BlockCov, factors: SchurFactors, w_past):
     + w̄ᴴ(D⁻¹∘Σ_n)w̄ is c - 2Re(w̄ᴴn) + w̄ᴴMw̄ with M = D⁻¹∘Σ_n and
     n = ((-A)∘Σ_pn) w_past. The past term c does not depend on w̄, so it is
     left out: only k x k and k x p objects enter the fit, and F⁻¹ is never
-    formed. Blocks and factors may carry a leading stack axis (with w_past
-    (B, p)).
+    formed. With an empty past (p = 0), M = |Σ|⁻¹∘Σ and n = 0. Blocks and
+    factors may carry a leading stack axis (with w_past (B, p)).
     """
     m_mat = hadamard(factors.d_inv, blocks.new)
     n_vec = np.matvec(hadamard(-factors.a_mat, blocks.cross), w_past)
     return m_mat, n_vec
 
 
-def _seq_kl(m_mat, n_vec, cfg, trace=False) -> BatchReport:
-    """torus_mm on stacked kl_seq_terms."""
-    return torus_mm(-m_mat, n_vec, cfg, trace,
-                    shift=largest_eigenvalue(m_mat))
+def frob_seq_terms(cross, new, w_past):
+    """torus_mm's (h, b) for the sequential least-squares problem; h is
+    built in place in new, which it overwrites.
 
-
-def _fit_kl(sigma, cfg, w_past, jitter=DEFAULT_JITTER,
-            trace=False) -> BatchReport:
-    """Spectral-fit torus_mm over a (B, l, l) stack; raises a solver or
-    linear-algebra error if any |Σ| factor cannot be inverted.
-
-    Offline, H = -(Ψ⁻¹∘Σ) and one stacked eigendecomposition of Ψ⁻¹∘Σ gives
-    both the shift λ_max and, unless cfg.init is set, the EMI start: the
-    phase of the eigenvector of the smallest eigenvalue. Sequential problems
-    take the Schur factors of |Σ| and kl_seq_terms.
+    The block objective -2[wᴴ(|Σ_p|∘Σ_p)w + 2Re(w̄ᴴ(|Σ_pn|∘Σ_pn)w)
+    + w̄ᴴ(|Σ_n|∘Σ_n)w̄] is a constant past term plus torus_mm's form with
+    h = 2(|Σ_n|∘Σ_n) and b = 2(|Σ_pn|∘Σ_pn) w_past; the past block Σ_p
+    enters only the constant, so it is not read. With an empty past
+    (p = 0), h = 2(|Σ|∘Σ) and b = 0. Blocks may carry a leading stack axis
+    (with w_past (B, p)).
     """
-    psi = abs_entrywise(sigma)
-    if w_past is None:
-        h = hadamard(pd_inverse(psi, jitter), sigma)
-        vals, vecs = np.linalg.eigh(h)
-        w0 = phase_project(vecs[..., 0]) if cfg.init is None else None
-        batch = torus_mm(-h, 0.0, cfg, trace, shift=vals[:, -1], w0=w0)
+    w_past = np.asarray(w_past, dtype=complex)
+    b = 2.0 * np.matvec(hadamard(abs_entrywise(cross), cross), w_past)
+    new *= abs_entrywise(new)
+    new *= 2.0
+    return new, b
+
+
+def _solve(distance, blocks: BlockCov, factors, w_past, cfg,
+           trace=False) -> BatchReport:
+    """torus_mm on one objective over a stack split at p >= 0: what fit runs
+    once the partition and, for the spectral fit, the Schur factors exist.
+
+    The spectral fit is torus_mm(-M, n) shifted by λ_max(M). With an empty
+    past, one stacked eigendecomposition of M = Ψ⁻¹∘Σ gives both the shift
+    and, unless cfg.init is set, the EMI start: the phase of the eigenvector
+    of the smallest eigenvalue; and, with no past to hold the phase
+    reference, the phases are anchored to the first date.
+    """
+    if distance == "frob":
+        h, b = frob_seq_terms(blocks.cross, blocks.new, w_past)
+        shift = w0 = None
+    else:
+        m_mat, b = kl_seq_terms(blocks, factors, w_past)
+        del factors  # lets D⁻¹ and |Σ| go before the MM if no caller keeps them
+        h = -m_mat
+        if blocks.p:
+            shift, w0 = largest_eigenvalue(m_mat), None
+        else:
+            vals, vecs = np.linalg.eigh(m_mat)
+            shift = vals[:, -1]
+            w0 = phase_project(vecs[..., 0]) if cfg.init is None else None
+    batch = torus_mm(h, b, cfg, trace, shift=shift, w0=w0)
+    if not blocks.p:
         batch.phases = anchor_reference(batch.phases)
-        return batch
+    return batch
+
+
+def _fit(sigma, cfg, distance, w_past, jitter=DEFAULT_JITTER,
+         trace=False) -> BatchReport:
+    """_solve over a (B, l, l) stack given (B, p) past phases; raises a
+    solver or linear-algebra error if a spectral fit's |Σ| factors fail."""
     blocks = partition(sigma, w_past.shape[-1])
-    factors = schur_factors(psi, blocks.p, jitter)
-    return _seq_kl(*kl_seq_terms(blocks, factors, w_past), cfg, trace)
+    return _solve(distance, blocks,
+                  schur_factors(abs_entrywise(sigma), blocks.p, jitter)
+                  if distance == "kl" else None, w_past, cfg, trace)
 
 
 def solve_offline_kl(sigma: np.ndarray, cfg: MMConfig = MMConfig()) -> SolveReport:
-    """Full-stack MM under the spectral-fit objective wᴴ(Ψ⁻¹∘Σ)w.
-
-    The convex quadratic form is majorized by its linearization shifted by
-    the largest eigenvalue, giving the update w⁺ = Φ((λ_max I - H) w), run
-    with restarted momentum from the EMI start unless cfg.init is set (see
-    torus_mm and fit). Output is anchored to the first date.
+    """Full-stack MM under the spectral-fit objective wᴴ(Ψ⁻¹∘Σ)w, the
+    sequential fit from an empty past: w⁺ = Φ((λ_max I - H) w) with
+    restarted momentum, from the EMI start unless cfg.init is set (see
+    _solve). Output is anchored to the first date.
     """
-    return _single(_fit_kl(np.asarray(sigma)[None], cfg, None, trace=True))
+    return _single(_fit(np.array(sigma)[None], cfg, "kl", np.ones((1, 0)),
+                        trace=True))
 
 
 def solve_offline_frob(sigma: np.ndarray, cfg: MMConfig = MMConfig()) -> SolveReport:
-    """Full-stack MM under the least-squares objective -2wᴴ(Ψ∘Σ)w.
-
-    The concave quadratic form is majorized by its linearization, giving
-    w⁺ = Φ(H w) with H = 2(Ψ∘Σ); this is torus_mm on one problem. Output is
-    anchored to the first date.
+    """Full-stack MM under the least-squares objective -2wᴴ(Ψ∘Σ)w, the
+    sequential fit from an empty past: w⁺ = Φ(H w) with H = 2(Ψ∘Σ). Output
+    is anchored to the first date; sigma is not modified.
     """
-    sigma = np.asarray(sigma)
-    h = 2.0 * hadamard(abs_entrywise(sigma), sigma)
-    report = _single(torus_mm(h[None], 0.0, cfg, trace=True))
-    report.phases = anchor_reference(report.phases)
-    return report
+    return _single(_fit(np.array(sigma)[None], cfg, "frob", np.ones((1, 0)),
+                        trace=True))
 
 
 def solve_seq_kl(
@@ -356,29 +386,12 @@ def solve_seq_kl(
     M = D⁻¹∘Σ_n, with restarted momentum (see kl_seq_terms and torus_mm);
     it stops at the same step as fit. The reported cost adds the constant
     past term w_pastᴴ(F⁻¹∘Σ_p)w_past, so it is the block objective and
-    traces are comparable with offline runs. The output is not re-anchored:
-    the phase reference lives in w_past.
+    traces are comparable with offline runs. The output is not re-anchored
+    unless the past is empty: the phase reference lives in w_past.
     """
-    w_past = np.asarray(w_past, dtype=complex)
-    terms = kl_seq_terms(blocks, factors, w_past)
     const = quad_form(w_past, hadamard(factors.f_inv(), blocks.past))
-    return _single(_seq_kl(*(np.asarray(x)[None] for x in terms), cfg,
-                           trace=True), const)
-
-
-def frob_seq_terms(cross, new, w_past):
-    """torus_mm's (h, b) for the sequential least-squares problem.
-
-    The block objective -2[wᴴ(|Σ_p|∘Σ_p)w + 2Re(w̄ᴴ(|Σ_pn|∘Σ_pn)w)
-    + w̄ᴴ(|Σ_n|∘Σ_n)w̄] is a constant past term plus torus_mm's form with
-    h = 2(|Σ_n|∘Σ_n) and b = 2(|Σ_pn|∘Σ_pn) w_past; the past block Σ_p
-    enters only the constant, so it is not read. Blocks may carry a leading
-    stack axis (with w_past (B, p)).
-    """
-    w_past = np.asarray(w_past, dtype=complex)
-    h = 2.0 * hadamard(abs_entrywise(new), new)
-    b = 2.0 * np.matvec(hadamard(abs_entrywise(cross), cross), w_past)
-    return h, b
+    return _single(_solve("kl", _one(blocks), _one(factors),
+                          np.asarray(w_past)[None], cfg, trace=True), const)
 
 
 def solve_seq_frob(
@@ -393,56 +406,43 @@ def solve_seq_frob(
     torus_mm, stopping at the same step as fit; no matrix inversion or
     eigenvalue is needed. The reported cost adds the constant past term
     -2 w_pastᴴ(|Σ_p|∘Σ_p)w_past, so it is the block objective. The output
-    is not re-anchored.
+    is not re-anchored unless the past is empty; blocks are not modified.
     """
-    h, b = frob_seq_terms(blocks.cross, blocks.new, w_past)
     const = -2.0 * quad_form(
         w_past, hadamard(abs_entrywise(blocks.past), blocks.past))
-    return _single(torus_mm(h[None], b[None], cfg, trace=True), const)
+    return _single(_solve("frob", _one(blocks), None,
+                          np.asarray(w_past)[None], cfg, trace=True), const)
 
 
 def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
-    """The phases of a (B, l, l) stack of plug-ins under one objective.
-
-    With w_past None the fit is offline: phases are (B, l), anchored to the
-    first date. With w_past (B, p) it is sequential over the last k = l - p
-    dates given those past phases: phases are (B, k), not re-anchored.
-    Either objective runs as one torus_mm call over the whole stack.
+    """The (B, k) phases of the last k = l - p dates of a (B, l, l) stack of
+    plug-ins under one objective, given (B, p) past phases; None is the
+    empty past, p = 0, an offline fit. Either objective runs as one torus_mm
+    call over the whole stack (see _solve).
 
     numpy's stacked Cholesky fails for the whole stack when one |Σ| is not
     positive definite, so such a spectral-fit stack is rerun one problem at
     a time, each with jittered_cholesky's rescue. A problem that still
     raises a solver or linear-algebra error gets NaN phases, 0 iterations
     and converged False; the others are unaffected, since no problem's
-    result depends on the rest of its stack. May overwrite sigma.
+    result depends on the rest of its stack. May overwrite sigma: the
+    least-squares H is built in place in its new block.
     """
     check_distance(distance)
-    if w_past is not None:
-        w_past = np.asarray(w_past, dtype=complex)
-    if distance == "frob":
-        if w_past is not None:
-            blocks = partition(sigma, w_past.shape[-1])
-            return torus_mm(*frob_seq_terms(blocks.cross, blocks.new, w_past),
-                            cfg)
-        # H = 2(|Σ|∘Σ) as in solve_offline_frob, built in place
-        sigma *= abs_entrywise(sigma)
-        sigma *= 2.0
-        batch = torus_mm(sigma, 0.0, cfg)
-        batch.phases = anchor_reference(batch.phases)
-        return batch
+    w_past = np.asarray(np.ones((len(sigma), 0)) if w_past is None else w_past,
+                        dtype=complex)
     try:
-        # no jitter here: a rescue would jitter every problem of the stack
-        return _fit_kl(sigma, cfg, w_past, jitter=0.0)
+        # no jitter here: a rescue would jitter every problem of the stack.
+        # Only the spectral fit inverts anything, so only it can raise
+        return _fit(sigma, cfg, distance, w_past, jitter=0.0)
     except (SeqlinkError, np.linalg.LinAlgError):
         pass
-    count = len(sigma)
-    p = 0 if w_past is None else w_past.shape[-1]
-    batch = BatchReport(np.full((count, sigma.shape[-1] - p), np.nan, dtype=complex),
+    count, k = len(sigma), sigma.shape[-1] - w_past.shape[-1]
+    batch = BatchReport(np.full((count, k), np.nan, dtype=complex),
                         np.zeros(count, dtype=int), np.zeros(count, dtype=bool))
     for i in range(count):
         try:
-            one = _fit_kl(sigma[i:i + 1], cfg,
-                          None if w_past is None else w_past[i:i + 1])
+            one = _fit(sigma[i:i + 1], cfg, distance, w_past[i:i + 1])
         except (SeqlinkError, np.linalg.LinAlgError):
             continue
         batch.phases[i] = one.phases[0]

@@ -325,7 +325,7 @@ def test_failed_past_fit_excludes_only_its_trial_and_is_never_continued(
 
     def failing_fit(sigma, solver, distance, w_past=None):
         batch = fit(sigma, solver, distance, w_past)
-        if w_past is not None:
+        if w_past.shape[-1]:
             sequential_calls.append(w_past.copy())
         elif sigma.shape[-1] == cfg.sim.p:  # the past fit: fail trial 3
             batch.phases[3] = np.nan

@@ -100,6 +100,26 @@ def test_simulate_rejects_rho_out_of_range(tmp_path):
     assert "rho out of range" in result.stderr
 
 
+@pytest.mark.parametrize("p, k", [(-1, 7), (0, 6)])
+def test_simulate_and_bench_reject_a_non_positive_past_length(tmp_path, p, k):
+    cfg = tmp_path / "bad.cfg"
+    out = tmp_path / "out.slk"
+    cfg.write_text(f"l=6\np={p}\nk={k}\nrho=0.9\nout={out}\n")
+    for command in ("simulate", "bench"):
+        result = run_cli(command, cfg)
+        assert result.returncode == 2, result.stderr
+        assert "must both be >= 1" in result.stderr
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_solve_rejects_window_zero_before_writing_a_manifest(scene, tmp_path):
+    out = tmp_path / "w.csv"
+    result = run_cli("solve", scene / "demo.slk", "--window", 0, "--out", out)
+    assert result.returncode == 2
+    assert "window" in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_flag_exits_2_with_usage(scene):
     result = run_cli("solve", scene / "demo.slk", "--frobnicate")
     assert result.returncode == 2

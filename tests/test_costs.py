@@ -219,3 +219,16 @@ def test_frob_cost_minimized_at_truth_on_noiseless_cov(l):
         w = np.exp(1j * angles)
         best = min(best, -2.0 * np.real(w.conj() @ m @ w))
     assert cost_at_truth <= best + 1e-9 * abs(best)
+
+
+def test_block_costs_with_an_empty_past_are_the_full_costs():
+    rng = np.random.default_rng(49)
+    for _ in range(10):
+        l = int(rng.integers(2, 9))
+        sigma = random_plugin(rng, l)
+        w = random_torus(rng, l)
+        blocks = partition(sigma, 0)
+        factors = schur_factors(abs_entrywise(sigma), 0)
+        empty = np.ones(0, dtype=complex)
+        assert kl_cost_block(empty, w, blocks, factors) == kl_cost_full(w, sigma)
+        assert frob_cost_block(empty, w, blocks) == frob_cost_full(w, sigma)

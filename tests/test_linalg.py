@@ -183,7 +183,17 @@ def test_partition_reassemble_round_trip():
     assert blocks.p == 7 and blocks.k == 3
 
 
-@pytest.mark.parametrize("p", [0, 10, 11])
+def test_partition_at_zero_is_an_empty_past():
+    rng = np.random.default_rng(9)
+    m = np.array([random_hermitian(rng, 6) for _ in range(3)])
+    blocks = partition(m, 0)
+    assert blocks.past.shape == (3, 0, 0) and blocks.cross.shape == (3, 6, 0)
+    assert np.array_equal(blocks.new, m)
+    assert blocks.p == 0 and blocks.k == 6
+    assert np.array_equal(reassemble(partition(m[0], 0)), m[0])
+
+
+@pytest.mark.parametrize("p", [10, 11])
 def test_partition_rejects_out_of_range_p(p):
     with pytest.raises(ValueError):
         partition(np.eye(10), p)
@@ -191,6 +201,17 @@ def test_partition_rejects_out_of_range_p(p):
 
 # ---------------------------------------------------------------------------
 # schur_factors
+
+
+def test_schur_factors_at_zero_invert_the_whole_matrix_bit_for_bit():
+    rng = np.random.default_rng(16)
+    psi = np.array([abs_entrywise(random_cov(rng, 7)) for _ in range(4)])
+    for jitter in (0.0, 1e-9):
+        f = schur_factors(psi, 0, jitter)
+        assert np.array_equal(f.d_inv, pd_inverse(psi, jitter))
+        assert f.a_mat.shape == (4, 7, 0) and f.x.shape == (4, 0, 7)
+    assert np.array_equal(assemble_block_inverse(schur_factors(psi[0], 0)),
+                          pd_inverse(psi[0]))
 
 
 def test_schur_factors_two_by_two_closed_form():

@@ -5,9 +5,11 @@ import pytest
 import scipy.linalg
 
 from seqlink import (
+    ConfigError,
     NotPositiveDefinite,
     SimulationConfig,
     abs_entrywise,
+    build_simulation,
     build_true_covariance,
     ground_truth,
     linear_phase_ramp,
@@ -226,6 +228,14 @@ def test_simulation_config_defaults_and_validation():
         SimulationConfig(n=0)
     with pytest.raises(ValueError):
         SimulationConfig(distribution="cauchy")
+
+
+@pytest.mark.parametrize("p, k", [(-1, 7), (0, 6), (6, 0)])
+def test_simulation_config_rejects_a_non_positive_past_or_new_length(p, k):
+    with pytest.raises(ValueError, match="must both be >= 1"):
+        SimulationConfig(l=6, p=p, k=k)
+    with pytest.raises(ConfigError, match="must both be >= 1"):
+        build_simulation({"l": 6, "p": p, "k": k})
 
 
 def test_ground_truth_assembles_configured_scenario():

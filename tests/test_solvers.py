@@ -797,6 +797,47 @@ def test_fit_rows_are_single_solves_and_a_failed_row_is_nan(distance,
     assert failed == ([1] if distance == "kl" else [])
 
 
+def direct_offline(sigma, distance, cfg):
+    """One offline problem written from the whole matrix: H = 2(|Σ|∘Σ) with
+    plain steps, or H = Ψ⁻¹∘Σ shifted by its largest eigenvalue from the
+    EMI start; the phases anchored to date 0."""
+    if distance == "frob":
+        batch = torus_mm(2.0 * abs_entrywise(sigma) * sigma, 0.0, cfg)
+    else:
+        h = pd_inverse(abs_entrywise(sigma)) * sigma
+        vals, vecs = np.linalg.eigh(h)
+        batch = torus_mm(-h, 0.0, cfg, shift=vals[:, -1],
+                         w0=phase_project(vecs[..., 0]))
+    batch.phases = anchor_reference(batch.phases)
+    return batch
+
+
+@pytest.mark.parametrize("distance", ["kl", "frob"])
+def test_fit_from_an_empty_past_is_the_offline_fit(distance):
+    rng = np.random.default_rng(95)
+    l, count = 7, 5
+    sigma = np.array([scm(random_stack(rng, 3 * l, l)) for _ in range(count)])
+    # problem 2: |Σ| is not positive definite, so its spectral fit fails
+    sigma[2] = np.eye(l)
+    sigma[2, :2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+    cfg = MMConfig(max_iters=300, tol=1e-12)
+    empty = fit(sigma.copy(), cfg, distance, np.ones((count, 0)))
+    offline = fit(sigma.copy(), cfg, distance)
+    for name in ("phases", "iterations", "converged"):
+        assert np.array_equal(getattr(empty, name), getattr(offline, name),
+                              equal_nan=name == "phases")
+    for i in range(count):
+        if distance == "kl" and i == 2:
+            # a failed row stays all-NaN: anchoring never writes into it
+            assert np.isnan(empty.phases[i]).all()
+            assert empty.iterations[i] == 0 and not empty.converged[i]
+            continue
+        direct = direct_offline(sigma[i:i + 1], distance, cfg)
+        assert np.array_equal(empty.phases[i], direct.phases[0])
+        assert empty.iterations[i] == direct.iterations[0]
+        assert empty.phases[i, 0] == 1.0
+
+
 def test_fit_rejects_an_unknown_distance():
     with pytest.raises(ValueError, match="cosine"):
         fit(np.eye(3, dtype=complex)[None], MMConfig(), "cosine")
