@@ -24,15 +24,17 @@ from itertools import accumulate
 import numpy as np
 
 from .linalg import abs_entrywise, partition, schur_factors
-from .plugins import PluginSpec, estimate, regularize, scm
+from .plugins import PluginSpec, estimate, regularize, scm, window_estimates
 from .raster import _run_rows
-from .simulate import SimulationConfig, ground_truth, sample_stack
+from .simulate import (SimulationConfig, ground_truth, matrix_sqrt,
+                       sample_stack)
 # the four solve_* functions are not called here; they stay importable
 # from this module because perfbench/spans.py wraps them here
 from .solvers import (  # noqa: F401
     MMConfig,
     _solve,
     check_distance,
+    first_fitted_row,
     fit,
     solve_offline_frob,
     solve_offline_kl,
@@ -50,6 +52,11 @@ CSV_HEADER = "mode,distance,estimator,regularizer,n,trials,excluded,mse,stderr"
 # spectral-fit solvers take about a hundred iterations at rho = 0.98 and
 # forty dates; the budget is headroom for badly conditioned coherences
 BENCH_SOLVER = MMConfig(max_iters=10000, tol=1e-14)
+
+# (window, width) of the row band whose plug-in timing_experiment times: a
+# raster window's rows over a few of its columns, small enough that the
+# spectral fit's l x l plug-ins stay well under 100 MB at l = 405
+PLUGIN_BAND = (11, 4)
 
 
 @dataclass(frozen=True)
@@ -141,16 +148,19 @@ def phase_diff_error(
     return float(np.angle(hat * np.conj(true)) ** 2)
 
 
-def _raw_plugins(cfg, sigma_true, sim, trials):
+def _raw_plugins(cfg, sigma_true, root, sim, trials):
     """The (T, l, l) stack of the trials' unregularized plug-ins over all
     dates, or of the injected truth; trial t draws its samples from
-    SeedSequence([master_seed, n, t])."""
+    SeedSequence([master_seed, n, t]), given root = matrix_sqrt(sigma_true)
+    (None with the injected truth)."""
     if cfg.inject_truth:
         return np.broadcast_to(sigma_true, (len(trials),) + sigma_true.shape)
-    seeds = (np.random.SeedSequence([cfg.master_seed, sim.n, t]) for t in trials)
     raw = replace(cfg.plugin, regularizer="none")
-    return np.array([estimate(sample_stack(sigma_true, sim, seed), raw)
-                     for seed in seeds])
+    out = np.empty((len(trials), sim.l, sim.l), dtype=complex)
+    for i, t in enumerate(trials):
+        seed = np.random.SeedSequence([cfg.master_seed, sim.n, t])
+        out[i] = estimate(sample_stack(sigma_true, sim, seed, root), raw)
+    return out
 
 
 def _fit(cfg, sigma, w_past):
@@ -218,6 +228,8 @@ def _arm_errors(cfg: ExperimentConfig, n: int, threads: int) -> dict:
     arms, first = _arms(cfg)
     sim = replace(cfg.sim, n=n)
     _, w_true, sigma_true = ground_truth(cfg.sim)
+    # one factorization serves every trial's draw
+    root = None if cfg.inject_truth else matrix_sqrt(sigma_true)
     errors = {arm: np.full(cfg.trials, np.nan) for arm in arms}
     # contiguous chunks of the trial indices, one per worker thread
     chunks = [chunk for chunk in np.array_split(np.arange(cfg.trials), threads)
@@ -225,7 +237,7 @@ def _arm_errors(cfg: ExperimentConfig, n: int, threads: int) -> dict:
 
     def worker(index: int) -> None:
         trials = chunks[index]
-        full = _raw_plugins(cfg, sigma_true, sim, trials)
+        full = _raw_plugins(cfg, sigma_true, root, sim, trials)
         theta_hat = {}
         for arm, chain in arms.items():
             phases = np.ones((len(trials), 0))  # the empty past: offline
@@ -304,7 +316,11 @@ def timing_experiment(
     which builds the partition and, for the spectral fit, the Schur factors
     of the full plug-in first. The plug-in is the SCM of n = 2l samples
     shrunk with β = 0.9, positive definite at any depth (the raw |SCM| is
-    not, from about p = 300); its estimation is excluded for all.
+    not, from about p = 300); its estimation is excluded from those three.
+    plugin_ms times the plug-in an update pays for apart: the same
+    estimator built by plugins.window_estimates over one simulated row band
+    of PLUGIN_BAND (window, width) pixels, for the rows the update fit reads
+    (the k new ones for the least-squares fit, all l for the spectral fit).
     """
     if not (p >= k >= 1):
         raise ValueError("need p >= k >= 1")
@@ -315,8 +331,13 @@ def timing_experiment(
     sim = SimulationConfig(l=l, p=p, k=k, n=2 * l, seed=seed)
     _, w_true, sigma_true = ground_truth(sim)
     stack = sample_stack(sigma_true, sim)
-    sigma_hat = regularize(scm(stack), PluginSpec(regularizer="shrink"))
+    spec = PluginSpec(regularizer="shrink")
+    sigma_hat = regularize(scm(stack), spec)
     cfg = MMConfig(max_iters=iters, tol=0.0)
+    win, width = PLUGIN_BAND
+    band = sample_stack(sigma_true, replace(sim, n=win * width)).T
+    band = band.reshape(l, win, width)
+    first = first_fitted_row(distance, p)
     w_past = w_true[None, :p]
 
     blocks = partition(sigma_hat[None], p)
@@ -335,8 +356,12 @@ def timing_experiment(
     def run_offline():
         return fit(sigma_hat[None].copy(), cfg, distance)
 
+    # the middle row's window covers the whole band
+    def run_plugin():
+        return window_estimates(band, win // 2, win, spec, first)
+
     # warm caches (BLAS paths)
-    for run in (run_seq, run_seq_fit, run_offline):
+    for run in (run_seq, run_seq_fit, run_offline, run_plugin):
         run()
 
     def median_ms(fn):
@@ -348,4 +373,5 @@ def timing_experiment(
         return float(np.median(times) * 1000.0)
 
     return {"seq_ms": median_ms(run_seq), "offline_ms": median_ms(run_offline),
-            "seq_fit_ms": median_ms(run_seq_fit)}
+            "seq_fit_ms": median_ms(run_seq_fit),
+            "plugin_ms": median_ms(run_plugin)}

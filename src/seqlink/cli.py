@@ -194,7 +194,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-TIMING_HEADER = "p,k,distance,seq_ms,offline_ms,ratio,seq_fit_ms"
+TIMING_HEADER = "p,k,distance,seq_ms,offline_ms,ratio,seq_fit_ms,plugin_ms"
 
 
 def int_list(text: str) -> list[int]:
@@ -210,7 +210,7 @@ def cmd_timing(args) -> int:
         ratio = result["seq_ms"] / result["offline_ms"]
         lines.append(f"{p},{args.k},{args.distance},{result['seq_ms']!r},"
                      f"{result['offline_ms']!r},{ratio!r},"
-                     f"{result['seq_fit_ms']!r}")
+                     f"{result['seq_fit_ms']!r},{result['plugin_ms']!r}")
         print(lines[-1], flush=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_time = sub.add_parser("timing", help="time one sequential vs offline "
-                                           "solve per past length")
+                                           "solve, and the plug-in the "
+                                           "update reads, per past length")
     p_time.add_argument("--p", type=int_list, required=True,
                         help="past length, or a comma list (one row each)")
     p_time.add_argument("--k", type=int, required=True)

@@ -80,7 +80,8 @@ class BlockCov:
     """Past/cross/new partition of an l x l matrix (or a stack of them).
 
     past is p x p, cross is k x p (new rows against past columns) and new is
-    k x k, so the source matrix is [[past, crossᴴ], [cross, new]].
+    k x k, so the source matrix is [[past, crossᴴ], [cross, new]]. past is
+    None when only the last k rows, [cross, new], were given.
     """
 
     past: np.ndarray
@@ -89,7 +90,7 @@ class BlockCov:
 
     @property
     def p(self) -> int:
-        return self.past.shape[-1]
+        return self.cross.shape[-1]
 
     @property
     def k(self) -> int:
@@ -98,13 +99,19 @@ class BlockCov:
 
 def partition(m: np.ndarray, p: int) -> BlockCov:
     """Split an l x l matrix into past (p x p), cross (k x p), new (k x k);
-    at p = 0 the past is empty and new is all of m."""
+    at p = 0 the past is empty and new is all of m. Given only the matrix's
+    last k = l - p rows, a k x l array, past is None."""
     m = np.asarray(m)
-    l = m.shape[-1]
+    rows, l = m.shape[-2:]
     if not 0 <= p < l:
         raise ValueError(f"past length p={p} must satisfy 0 <= p < l={l}")
-    return BlockCov(past=m[..., :p, :p], cross=m[..., p:, :p],
-                    new=m[..., p:, p:])
+    if rows == l:
+        return BlockCov(past=m[..., :p, :p], cross=m[..., p:, :p],
+                        new=m[..., p:, p:])
+    if rows != l - p:
+        raise ValueError(f"a {rows} x {l} array is neither a square matrix "
+                         f"nor its last {l - p} rows")
+    return BlockCov(past=None, cross=m[..., :p], new=m[..., p:])
 
 
 def reassemble(blocks: BlockCov) -> np.ndarray:

@@ -139,51 +139,111 @@ def window_bounds(size: int, win: int) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(start, 0), np.minimum(start + win, size)
 
 
-def window_estimates(data: np.ndarray, row: int, win: int,
-                     spec: PluginSpec) -> np.ndarray:
-    """The plug-in of every pixel's clipped win x win window in one row of
-    an (l, height, width) stack, as a (width, l, l) array.
+def window_estimates(data, row: int, win: int, spec: PluginSpec,
+                     first: int = 0) -> np.ndarray:
+    """Rows first: of the plug-in of every pixel's clipped win x win window
+    in one row of an (l, height, width) stack, as a (width, l - first, l)
+    array; first = 0 gives the whole plug-in.
+
+    data may also be a sequence of (l_i, height, width) stacks of
+    consecutive dates (say, the past and the new images of an update),
+    which are read in place: only the window rows are copied, into one
+    band over all l dates.
 
     Equals estimate() on sliding-window samples up to summation order. One
-    stacked matmul sums each column's outer products over the window rows.
-    Those column terms are then summed over the window columns by products
-    with a 0/1 band matrix on their real view, one tile of win output
-    columns at a time, so the work is O(l^2 win) per pixel instead of
-    O(l^2 win^2) and no width x width matrix is built. The sums are scaled
-    by 0.5 / (clipped area), which gives the same bits as dividing by the
-    area and halving after the Hermitian symmetrization.
+    stacked matmul sums each column's outer products over the window rows,
+    for rows first: against all l columns and, when first > 0, for all l
+    rows against columns first:, the transposed half that the Hermitian
+    symmetrization reads. Those column terms are then summed over the window
+    columns by products with a 0/1 band matrix on their real view, one tile
+    of win output columns at a time, so the work is O((l - first) l win)
+    per pixel instead of O((l - first) l win^2) and no width x width matrix
+    is built. The sums are scaled by 0.5 / (clipped area), which gives the
+    same bits as dividing by the area and halving after the symmetrization.
 
-    The band products run on one BLAS thread, since their rounding can
-    depend on the BLAS thread count; so the result is the same whether or
-    not the caller holds blas.single_blas_thread.
+    Without a regularizer, and for `po` with any, the rows equal rows first:
+    of the whole plug-in bit for bit (with OpenBLAS as tested), but for
+    `scm`'s last diagonal entry, which BLAS may round in a different
+    partial tile. `scm` shrinkage takes the whole plug-in's trace from a box
+    sum of the window's squared moduli, which agrees to rounding.
+
+    The products run on one BLAS thread, since their rounding can depend on
+    the BLAS thread count; so the result is the same whether or not the
+    caller holds blas.single_blas_thread.
     """
     if win < 1:
         raise ValueError("win must be >= 1")
-    l, height, width = data.shape
+    stacks = [data] if isinstance(data, np.ndarray) else list(data)
+    l = sum(len(stack) for stack in stacks)
+    height, width = stacks[0].shape[1:]
+    if not 0 <= first < l:
+        raise ValueError(f"first row {first} must satisfy 0 <= first < l={l}")
     r_start, r_stop = window_bounds(height, win)
     c_start, c_stop = window_bounds(width, win)
-    band = data[:, r_start[row]:r_stop[row]]
-    if spec.estimator == "po":
-        band = unit_phasors(band)
     # (width, window rows, l): each column's window rows form one matrix
-    cols = np.ascontiguousarray(band.transpose(2, 1, 0))
-    sigma = np.empty((width, l, l), dtype=complex)
-    flat = sigma.view(float).reshape(width, -1)
+    cols = np.empty((width, r_stop[row] - r_start[row], l), dtype=complex)
+    date = 0
+    for stack in stacks:
+        band = stack[:, r_start[row]:r_stop[row]]
+        if spec.estimator == "po":
+            band = unit_phasors(band)
+        cols[:, :, date:date + len(stack)] = band.transpose(2, 1, 0)
+        date += len(stack)
+    # BLAS rounds an entry of a product the same wherever it sits, except in
+    # a partial tile at the end (and numpy multiplies a single row or column
+    # as a matrix-vector product). So the row terms start at a multiple of
+    # 16, which ends them in the same tiles as the whole plug-in's, and the
+    # column terms hold at least 8 columns, which puts their partial tile
+    # in the last row, one that is not read
+    lo = max(min(first - 1, l - 8) // 16 * 16, 0)
+    conj = cols.conj()
+    shrink_rows = (first > 0 and spec.regularizer == "shrink"
+                   and spec.estimator == "scm")
     with single_blas_thread():
-        terms = np.matmul(cols.transpose(0, 2, 1), cols.conj())
-        terms_flat = terms.view(float).reshape(width, -1)
-        for first in range(0, width, win):
-            last = min(first + win, width)
-            taps = np.arange(c_start[first], c_stop[last - 1])
-            ones = ((taps >= c_start[first:last, None])
-                    & (taps < c_stop[first:last, None])).astype(float)
-            np.matmul(ones, terms_flat[taps[0]:taps[-1] + 1],
-                      out=flat[first:last])
-    flat *= (0.5 / ((r_stop[row] - r_start[row]) * (c_stop - c_start)))[:, None]
-    # BLAS does not guarantee exact conjugate symmetry; enforce it (the
-    # column terms are spent, so their buffer holds the conjugate)
-    np.conjugate(sigma.transpose(0, 2, 1), out=terms)
-    sigma += terms
+        terms = np.matmul(cols[:, :, lo:].transpose(0, 2, 1), conj)
+        parts = [terms]
+        if first:
+            parts.append(np.matmul(cols.transpose(0, 2, 1), conj[:, :, lo:]))
+        sums = [np.empty_like(part) for part in parts]
+        pairs = [(part.view(float).reshape(width, -1),
+                  total.view(float).reshape(width, -1))
+                 for part, total in zip(parts, sums)]
+        if shrink_rows:
+            flat = cols.reshape(width, -1)
+            trace = np.empty((width, 1))
+            pairs.append((np.vecdot(flat, flat).real[:, None], trace))
+        for start in range(0, width, win):
+            stop = min(start + win, width)
+            taps = np.arange(c_start[start], c_stop[stop - 1])
+            ones = ((taps >= c_start[start:stop, None])
+                    & (taps < c_stop[start:stop, None])).astype(float)
+            for src, dst in pairs:
+                np.matmul(ones, src[taps[0]:taps[-1] + 1], out=dst[start:stop])
+    area = (r_stop[row] - r_start[row]) * (c_stop - c_start)
+    for _, dst in pairs[:len(parts)]:
+        dst *= (0.5 / area)[:, None]
+    # BLAS does not guarantee exact conjugate symmetry; enforce it. Entry
+    # (i, j) adds the conjugate of entry (j, i): from the column terms where
+    # j < first, else from the row terms (which are spent, so their buffer
+    # holds the conjugate)
+    sigma = sums[0][:, first - lo:]
+    new, spent = sigma[:, :, first:], terms[:, first - lo:, first:]
+    np.conjugate(new.transpose(0, 2, 1), out=spent)
+    new += spent
+    if first:
+        sigma[:, :, :first] += np.conjugate(
+            sums[1][:, :first, first - lo:].transpose(0, 2, 1))
+    diag = np.arange(l - first)
     if spec.estimator == "po":
-        sigma[:, np.arange(l), np.arange(l)] = 1.0
-    return regularize(sigma, spec)
+        sigma[:, diag, first + diag] = 1.0
+    if not first:
+        return regularize(sigma, spec)
+    if spec.regularizer == "taper":
+        sigma *= taper_mask(l, spec.bandwidth)[first:]
+    elif spec.regularizer == "shrink":
+        # shrink to the whole plug-in's trace: l under the unit diagonal of
+        # po, else the box sum of the window's squared moduli
+        scale = trace[:, 0] / (area * l) if shrink_rows else np.ones(width)
+        sigma *= spec.beta
+        sigma[:, diag, first + diag] += ((1.0 - spec.beta) * scale)[:, None]
+    return sigma

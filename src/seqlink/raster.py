@@ -1,9 +1,10 @@
 """Whole-raster phase estimation.
 
 The raster is processed row by row. Each row builds every pixel's
-sliding-window plug-in in one pass (plugins.window_estimates) and solves all
-its pixels in one solvers.fit call, one stacked MM under either objective,
-given each pixel's past phases; an offline raster has an empty past.
+sliding-window plug-in in one pass (plugins.window_estimates), or only its
+new rows for a least-squares update, and solves all its pixels in one
+solvers.fit call, one stacked MM under either objective, given each pixel's
+past phases; an offline raster has an empty past.
 Pixels are independent, so the result is byte-identical for any number of
 worker threads.
 """
@@ -23,6 +24,7 @@ from .simulate import noiseless_stack
 from .solvers import (  # noqa: F401
     MMConfig,
     check_distance,
+    first_fitted_row,
     fit,
     solve_offline_frob,
     solve_offline_kl,
@@ -146,14 +148,14 @@ def _run_rows(height: int, worker, threads: int) -> None:
                 worker(row)
 
 
-def _window_masks(data: np.ndarray, bad: np.ndarray, win: int, depth: int):
+def _window_masks(signal: np.ndarray, bad: np.ndarray, win: int, depth: int):
     """(undersampled, unusable) pixel grids: windows holding fewer than depth
-    samples, and windows whose samples are all exactly zero or that hold a
-    pixel marked in the (height, width) grid bad (box counts over integral
-    images)."""
+    samples, and windows that hold no pixel marked in the (height, width)
+    grid signal (a nonzero entry) or that hold one marked in the grid bad
+    (box counts over integral images)."""
     if win < 1:
         raise ValueError("win must be >= 1")
-    height, width = data.shape[1:]
+    height, width = signal.shape
     r0, r1 = window_bounds(height, win)
     c0, c1 = window_bounds(width, win)
 
@@ -163,28 +165,40 @@ def _window_masks(data: np.ndarray, bad: np.ndarray, win: int, depth: int):
         return (total[np.ix_(r1, c1)] - total[np.ix_(r0, c1)]
                 - total[np.ix_(r1, c0)] + total[np.ix_(r0, c0)])
 
-    unusable = (box_counts(np.any(data != 0, axis=0)) == 0) | (box_counts(bad) > 0)
+    unusable = (box_counts(signal) == 0) | (box_counts(bad) > 0)
     return np.outer(r1 - r0, c1 - c0) < depth, unusable
 
 
-def _process(data: np.ndarray, past, win: int, spec: PluginSpec,
+def _process(stacks, past, win: int, spec: PluginSpec,
              skip: np.ndarray, cfg: MMConfig, distance: str,
              threads: int) -> PhaseRaster:
-    """fit every pixel of an (l, height, width) stack, row by row, given the
-    (p, height, width) past angles (p = 0 for an offline raster); pixels
-    hold the last l - p dates. Pixels in skip, with all-zero windows or a
-    non-finite entry in their window, or whose fit fails are failed.
-    Non-finite entries are read as 0 (from a copy), so no other pixel's
-    plug-in sees them.
+    """fit every pixel of a sequence of (l_i, height, width) stacks of
+    consecutive dates, row by row, given the (p, height, width) past angles
+    (p = 0 for an offline raster); pixels hold the last k = l - p dates.
+    Pixels in skip, with all-zero windows or a non-finite entry in their
+    window, or whose fit fails are failed.
+
+    The stacks are read in place: each row's window rows are copied into
+    one band by window_estimates. Non-finite entries are read as 0 (from a
+    copy of the stack that holds them), so no other pixel's plug-in sees
+    them. A least-squares update reads only the k new rows of each plug-in,
+    so only those are built; a spectral fit builds the whole plug-in.
     """
-    l, height, width = data.shape
-    count = l - len(past)
-    bad = ~np.isfinite(data)
-    if bad.any():
-        data = np.where(bad, 0, data)
-    undersampled, unusable = _window_masks(data, bad.any(axis=0), win, l)
+    stacks = list(stacks)
+    height, width = stacks[0].shape[1:]
+    l = sum(len(data) for data in stacks)
+    signal = np.zeros((height, width), dtype=bool)
+    bad_grid = np.zeros((height, width), dtype=bool)
+    for i, data in enumerate(stacks):
+        bad = ~np.isfinite(data)
+        if bad.any():
+            stacks[i] = data = np.where(bad, 0, data)
+            bad_grid |= bad.any(axis=0)
+        signal |= np.any(data != 0, axis=0)
+    undersampled, unusable = _window_masks(signal, bad_grid, win, l)
     failed = skip | unusable
-    out = np.full((count, height, width), np.nan)
+    first = first_fitted_row(distance, len(past))
+    out = np.full((l - len(past), height, width), np.nan)
     iterations = np.zeros((height, width), dtype=int)
     nonconverged = np.zeros((height, width), dtype=bool)
 
@@ -192,7 +206,7 @@ def _process(data: np.ndarray, past, win: int, spec: PluginSpec,
         live = ~failed[row]
         if not live.any():
             return
-        sigma = window_estimates(data, row, win, spec)
+        sigma = window_estimates(stacks, row, win, spec, first)
         w_past = np.exp(1j * past[:, row, live].T)
         batch = fit(sigma if live.all() else sigma[live], cfg, distance, w_past)
         lost = np.isnan(batch.phases).any(axis=1)
@@ -225,7 +239,8 @@ def process_stack_offline(
         raise ValueError("need at least two images to link phases")
     skip = np.zeros((stack.height, stack.width), dtype=bool)
     past = np.empty((0, stack.height, stack.width))
-    return _process(stack.data, past, win, spec, skip, cfg, distance, threads)
+    return _process([stack.data], past, win, spec, skip, cfg, distance,
+                    threads)
 
 
 def process_stack_sequential(
@@ -240,10 +255,13 @@ def process_stack_sequential(
 ) -> PhaseRaster:
     """Estimate only the k new phases per pixel, holding past phases fixed.
 
-    The full (p+k) plug-in is recomputed from both stacks at each pixel (only
-    phase rasters and images are persisted between acquisitions, never
-    covariances); its past/new partition feeds the sequential solver. Pixels
-    whose past solve failed stay failed.
+    Each pixel's plug-in is recomputed from both stacks, which are read in
+    place (only phase rasters and images are persisted between acquisitions,
+    never covariances). A least-squares (Frobenius) update builds only the
+    k x l rows of the new dates, since its fit reads no past block; a
+    spectral-fit (KL) update still builds the full (p+k) x (p+k) plug-in,
+    whose past block enters through the Schur factors. Pixels whose past
+    solve failed stay failed.
     """
     check_distance(distance)
     if stack_past.height != stack_new.height or stack_past.width != stack_new.width:
@@ -255,9 +273,8 @@ def process_stack_sequential(
             f"past raster holds {past_phases.count} phases but past stack has "
             f"{stack_past.count} images")
     skip = past_phases.failed | np.isnan(past_phases.data).any(axis=0)
-    combined = np.concatenate([stack_past.data, stack_new.data], axis=0)
-    return _process(combined, past_phases.data, win, spec, skip, cfg,
-                    distance, threads)
+    return _process([stack_past.data, stack_new.data], past_phases.data, win,
+                    spec, skip, cfg, distance, threads)
 
 
 def interferogram(phases: PhaseRaster, i: int, j: int) -> np.ndarray:

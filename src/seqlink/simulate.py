@@ -81,7 +81,7 @@ def build_true_covariance(psi: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matrix_sqrt(sigma: np.ndarray, jitter: float = DEFAULT_JITTER) -> np.ndarray:
+def matrix_sqrt(sigma: np.ndarray, jitter: float = DEFAULT_JITTER) -> np.ndarray:
     """Lower-triangular (or eigenvector-based) L with L Lᴴ = sigma.
 
     Cholesky with linalg's jitter rescue; positive semidefinite but singular
@@ -107,12 +107,16 @@ def _standard_complex_normal(rng: np.random.Generator, n: int, l: int) -> np.nda
     return z / np.sqrt(2.0)
 
 
-def sample_gaussian(sigma: np.ndarray, n: int, seed) -> np.ndarray:
-    """n circular complex Gaussian samples with covariance sigma, as rows."""
+def sample_gaussian(sigma: np.ndarray, n: int, seed, root=None) -> np.ndarray:
+    """n circular complex Gaussian samples with covariance sigma, as rows.
+
+    root, if given, is matrix_sqrt(sigma), so that many draws from one
+    covariance share one factorization.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    l_mat = _matrix_sqrt(sigma)
+    l_mat = matrix_sqrt(sigma) if root is None else root
     return _standard_complex_normal(rng, n, sigma.shape[0]) @ l_mat.T
 
 
@@ -122,19 +126,21 @@ def sample_scaled_gaussian(
     nu: float,
     seed,
     textures: np.ndarray | None = None,
+    root=None,
 ) -> np.ndarray:
     """n samples √τᵢ·xᵢ with xᵢ Gaussian and τᵢ ~ Gamma(nu, 1/nu), E[τ] = 1.
 
     The Gaussian part consumes the generator exactly as sample_gaussian, so
     injecting textures of all ones reproduces the Gaussian stack bit for bit
-    (the unit-texture degenerate path used by tests).
+    (the unit-texture degenerate path used by tests). root is as for
+    sample_gaussian.
     """
     if nu <= 0.0:
         raise ValueError("nu must be > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    l_mat = _matrix_sqrt(sigma)
+    l_mat = matrix_sqrt(sigma) if root is None else root
     gaussian = _standard_complex_normal(rng, n, sigma.shape[0]) @ l_mat.T
     if textures is None:
         textures = rng.gamma(shape=nu, scale=1.0 / nu, size=n)
@@ -158,7 +164,7 @@ def noiseless_stack(sigma: np.ndarray, n: int) -> np.ndarray:
     l = sigma.shape[0]
     if n < l:
         raise ValueError(f"need n >= l to span the stack, got n={n}, l={l}")
-    l_mat = _matrix_sqrt(sigma)
+    l_mat = matrix_sqrt(sigma)
     grid = np.outer(np.arange(l), np.arange(n))
     dft_rows = np.exp(-2j * np.pi * grid / n) / np.sqrt(n)
     return (np.sqrt(n) * (l_mat @ dft_rows)).T
@@ -171,9 +177,11 @@ def ground_truth(cfg: SimulationConfig):
     return psi, w, build_true_covariance(psi, w)
 
 
-def sample_stack(sigma: np.ndarray, cfg: SimulationConfig, seed=None) -> np.ndarray:
-    """Draw one stack from sigma under the configured distribution."""
+def sample_stack(sigma: np.ndarray, cfg: SimulationConfig, seed=None,
+                 root=None) -> np.ndarray:
+    """Draw one stack from sigma under the configured distribution; root,
+    if given, is matrix_sqrt(sigma) (see sample_gaussian)."""
     use = cfg.seed if seed is None else seed
     if cfg.distribution == "gaussian":
-        return sample_gaussian(sigma, cfg.n, use)
-    return sample_scaled_gaussian(sigma, cfg.n, cfg.nu, use)
+        return sample_gaussian(sigma, cfg.n, use, root)
+    return sample_scaled_gaussian(sigma, cfg.n, cfg.nu, use, root=root)

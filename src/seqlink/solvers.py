@@ -57,6 +57,13 @@ def check_distance(distance: str) -> None:
         raise ValueError(f"unknown distance {distance!r}; choose from {DISTANCES}")
 
 
+def first_fitted_row(distance: str, p: int) -> int:
+    """The first plug-in row that a fit given p past phases reads: p for the
+    least-squares fit, whose terms read only the new rows, and 0 for the
+    spectral fit, which reads the past block through its Schur factors."""
+    return p if distance == "frob" else 0
+
+
 @dataclass(frozen=True)
 class MMConfig:
     """Iteration budget and stopping rule for the MM loops.
@@ -346,8 +353,9 @@ def _solve(distance, blocks: BlockCov, factors, w_past, cfg,
 
 def _fit(sigma, cfg, distance, w_past, jitter=DEFAULT_JITTER,
          trace=False) -> BatchReport:
-    """_solve over a (B, l, l) stack given (B, p) past phases; raises a
-    solver or linear-algebra error if a spectral fit's |Σ| factors fail."""
+    """_solve over a (B, l, l) stack, or a least-squares fit over its
+    (B, k, l) last rows, given (B, p) past phases; raises a solver or
+    linear-algebra error if a spectral fit's |Σ| factors fail."""
     blocks = partition(sigma, w_past.shape[-1])
     return _solve(distance, blocks,
                   schur_factors(abs_entrywise(sigma), blocks.p, jitter)
@@ -420,6 +428,11 @@ def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
     empty past, p = 0, an offline fit. Either objective runs as one torus_mm
     call over the whole stack (see _solve).
 
+    The least-squares terms read only the plug-ins' last k rows, so a
+    least-squares fit also takes just those, a (B, k, l) stack (as a
+    Frobenius raster update builds them). A spectral fit reads the past
+    block through its Schur factors and raises ValueError if given rows.
+
     numpy's stacked Cholesky fails for the whole stack when one |Σ| is not
     positive definite, so such a spectral-fit stack is rerun one problem at
     a time, each with jittered_cholesky's rescue. A problem that still
@@ -429,6 +442,9 @@ def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
     least-squares H is built in place in its new block.
     """
     check_distance(distance)
+    if distance == "kl" and sigma.shape[-2] != sigma.shape[-1]:
+        raise ValueError(f"a spectral fit needs whole l x l plug-ins, got "
+                         f"{sigma.shape[-2]} x {sigma.shape[-1]} rows")
     w_past = np.asarray(np.ones((len(sigma), 0)) if w_past is None else w_past,
                         dtype=complex)
     try:

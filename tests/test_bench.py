@@ -246,6 +246,30 @@ def test_every_bound_fits_a_leading_block_of_one_plugin_per_trial(
                 assert np.array_equal(sigma[t], estimate(stack, spec))
 
 
+@pytest.mark.parametrize("distribution", ["gaussian", "scaled_gaussian"])
+def test_each_stage_factors_the_true_covariance_once(monkeypatch,
+                                                     distribution):
+    """Every trial's draw shares one matrix square root per sample size,
+    whatever the thread count (a draw from a shared root is the draw
+    sample_stack makes alone: see test_simulate)."""
+    import seqlink.simulate
+
+    cfg = small_cfg(sim=SimulationConfig(l=6, p=4, k=2, rho=0.9,
+                                         distribution=distribution),
+                    trials=6, mode="sequential")
+    factored = []
+    cholesky = seqlink.simulate.jittered_cholesky
+
+    def counting_cholesky(a, *args):
+        factored.append(np.shape(a))
+        return cholesky(a, *args)
+
+    monkeypatch.setattr(seqlink.simulate, "jittered_cholesky",
+                        counting_cholesky)
+    assert np.isfinite(trial_errors(cfg, 24, threads=2)).all()
+    assert factored == [(6, 6)]
+
+
 def test_mse_improves_with_sample_support():
     cfg = small_cfg(sim=SimulationConfig(l=8, p=6, k=2, rho=0.9, n=64),
                     trials=40, n_grid=(8, 64))

@@ -267,7 +267,8 @@ def test_timing_emits_csv_row(tmp_path):
                      "--out", out)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0] == "p,k,distance,seq_ms,offline_ms,ratio,seq_fit_ms"
+    assert lines[0] == ("p,k,distance,seq_ms,offline_ms,ratio,seq_fit_ms,"
+                        "plugin_ms")
     fields = lines[1].split(",")
     assert fields[:3] == ["8", "2", "kl"]
     seq_ms, offline_ms, ratio = map(float, fields[3:6])
@@ -282,11 +283,14 @@ def test_timing_runs_one_row_per_past_length(tmp_path):
                      "--out", out)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0] == "p,k,distance,seq_ms,offline_ms,ratio,seq_fit_ms"
+    assert lines[0] == ("p,k,distance,seq_ms,offline_ms,ratio,seq_fit_ms,"
+                        "plugin_ms")
     assert [line.split(",")[:3] for line in lines[1:]] == [
         ["8", "2", "kl"], ["12", "2", "kl"]]
-    # the sequential update timed as one fit call, Schur factors included
-    assert all(float(line.split(",")[6]) > 0 for line in lines[1:])
+    # the sequential update timed as one fit call, Schur factors included,
+    # and the plug-in it reads
+    assert all(float(value) > 0 for line in lines[1:]
+               for value in line.split(",")[6:8])
     assert out.read_text() == result.stdout
     manifest = read_manifest(f"{out}.manifest.txt")
     assert manifest["p"] == "8,12" and manifest["status"] == "ok"
@@ -299,7 +303,8 @@ def test_timing_prints_the_rows_timed_before_a_failing_past_length(tmp_path):
     assert result.returncode == 2
     assert "need p >= k >= 1" in result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0] == "p,k,distance,seq_ms,offline_ms,ratio,seq_fit_ms"
+    assert lines[0] == ("p,k,distance,seq_ms,offline_ms,ratio,seq_fit_ms,"
+                        "plugin_ms")
     assert len(lines) == 2 and lines[1].split(",")[:3] == ["8", "2", "kl"]
     assert not out.exists()
 

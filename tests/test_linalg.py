@@ -193,6 +193,17 @@ def test_partition_at_zero_is_an_empty_past():
     assert np.array_equal(reassemble(partition(m[0], 0)), m[0])
 
 
+def test_partition_of_the_last_rows_has_no_past():
+    rng = np.random.default_rng(10)
+    m = np.array([random_hermitian(rng, 9) for _ in range(2)])
+    whole, rows = partition(m, 6), partition(m[:, 6:], 6)
+    assert rows.past is None and rows.p == 6 and rows.k == 3
+    assert np.array_equal(rows.cross, whole.cross)
+    assert np.array_equal(rows.new, whole.new)
+    with pytest.raises(ValueError, match="last 3 rows"):
+        partition(m[:, 5:], 6)
+
+
 @pytest.mark.parametrize("p", [10, 11])
 def test_partition_rejects_out_of_range_p(p):
     with pytest.raises(ValueError):

@@ -348,3 +348,64 @@ def test_regularizers_broadcast_over_a_stack():
     for i, sigma in enumerate(stack):
         assert np.array_equal(shrunk[i], shrink_to_identity(sigma, 0.6))
         assert np.array_equal(tapered[i], taper(sigma, 2))
+
+
+# ---------------------------------------------------------------------------
+# window_estimates rows first: (what a least-squares update reads)
+
+
+ROW_SHAPES = [(5, 4, 37, 1), (6, 5, 9, 3), (40, 12, 50, 11), (5, 5, 9, 11),
+              (105, 3, 23, 11), (35, 3, 65, 21), (18, 4, 20, 4)]
+
+
+def heavy_tailed_stack(rng, l, height, width):
+    data = random_stack(rng, height * width, l).T.reshape(l, height, width)
+    data *= rng.gamma(0.5, 2.0, size=(1, height, width))  # uneven amplitudes
+    data[:, 0, min(2, width - 1)] = 0.0  # an all-zero pixel
+    return data
+
+
+@pytest.mark.parametrize("spec", WINDOW_SPECS, ids=lambda s: "-".join(s.label()))
+@pytest.mark.parametrize("l, height, width, win", ROW_SHAPES)
+def test_window_estimate_rows_are_the_whole_plugins_rows(spec, l, height,
+                                                         width, win):
+    """Rows first: equal rows first: of the whole plug-in: bit for bit for
+    po, and for scm with no regularizer or a taper but for the last diagonal
+    entry (whose BLAS tile can round differently); to rounding with scm
+    shrinkage, whose trace is summed apart. Border and interior rows, one
+    and several new dates."""
+    rng = np.random.default_rng(40)
+    data = heavy_tailed_stack(rng, l, height, width)
+    for row in sorted({0, height // 2, height - 1}):
+        whole = window_estimates(data, row, win, spec)
+        for k in sorted({1, 2, min(5, l - 1)}):
+            first = l - k
+            rows = window_estimates(data, row, win, spec, first)
+            expected = whole[:, first:]
+            assert rows.shape == (width, k, l)
+            if spec.estimator == "po":
+                assert np.array_equal(rows, expected)
+                continue
+            gap = np.abs(rows - expected)
+            assert np.max(gap) <= 1e-15 * np.max(np.abs(expected))
+            if spec.regularizer != "shrink":
+                gap[:, -1, -1] = 0.0
+                assert not gap.any(), (row, k)
+
+
+@pytest.mark.parametrize("first", [0, 7])
+def test_window_estimates_read_a_sequence_of_stacks_as_their_dates(first):
+    rng = np.random.default_rng(42)
+    data = heavy_tailed_stack(rng, 9, 4, 11)
+    for spec in WINDOW_SPECS:
+        for row in range(4):
+            expected = window_estimates(data, row, 3, spec, first)
+            split = window_estimates([data[:7], data[7:]], row, 3, spec, first)
+            assert np.array_equal(split, expected)
+
+
+def test_window_estimates_reject_a_first_row_outside_the_stack():
+    data = np.ones((3, 2, 2), dtype=complex)
+    for first in (-1, 3):
+        with pytest.raises(ValueError, match="first row"):
+            window_estimates(data, 0, 1, PluginSpec(), first)

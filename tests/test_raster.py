@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import seqlink.raster
+
 from seqlink import (
     ImageStack,
     SeqlinkError,
@@ -15,6 +17,7 @@ from seqlink import (
     anchor_reference,
     build_true_covariance,
     estimate,
+    fit,
     interferogram,
     linear_phase_ramp,
     noiseless_raster,
@@ -283,6 +286,70 @@ def test_sequential_raster_pixels_are_single_solves_of_their_plugins(distance):
     assert solved >= 10
     if distance == "frob":
         assert raster.failed.sum() == 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("spec", [PluginSpec(), PluginSpec("po", "shrink")],
+                         ids=lambda s: "-".join(s.label()))
+def test_frob_update_raster_is_the_fit_of_the_whole_plugins_rows(spec,
+                                                                 threads):
+    """Each pixel of a Frobenius update is the fit of the new rows of its
+    whole plug-in, built from both stacks with non-finite entries read as
+    0, bit for bit."""
+    p, k, win, height, width = 6, 4, 3, 7, 6
+    full = random_image_stack(101, p + k, height, width)
+    full.data[:, 5:, :2] = 0.0  # an empty corner
+    full.data[p + 1, 1, 3] = np.nan  # fails the windows that hold it
+    past, new = ImageStack(full.data[:p]), ImageStack(full.data[p:])
+    cfg = MMConfig(max_iters=80, tol=1e-10)
+    past_raster = process_stack_offline(past, spec, "frob", win, cfg)
+    raster = process_stack_sequential(new, past_raster, past, spec, "frob",
+                                      win, cfg, threads)
+    assert raster.failed[:3, 2:5].all()
+    clean = np.where(np.isfinite(full.data), full.data, 0)
+    for row in range(height):
+        live = ~raster.failed[row]
+        if not live.any():
+            continue
+        sigma = window_estimates(clean, row, win, spec)[live, p:]
+        w_past = np.exp(1j * past_raster.data[:, row, live].T)
+        batch = fit(sigma, cfg, "frob", w_past)
+        assert np.array_equal(raster.data[:, row, live],
+                              np.angle(batch.phases).T)
+        assert np.array_equal(raster.iterations[row, live], batch.iterations)
+    assert (~raster.failed).sum() >= 20
+
+
+@pytest.mark.parametrize("distance", ["kl", "frob"])
+def test_update_reads_the_stacks_in_place_and_frob_fits_only_new_rows(
+        monkeypatch, distance):
+    """No (l, height, width) copy of both stacks is made; a Frobenius update
+    fits (B, k, l) rows and a spectral one whole (B, l, l) plug-ins."""
+    p, k, height, width = 5, 3, 6, 5
+    full = random_image_stack(102, p + k, height, width)
+    past, new = ImageStack(full.data[:p]), ImageStack(full.data[p:])
+    cfg = MMConfig(max_iters=50, tol=1e-10)
+    past_raster = process_stack_offline(past, PluginSpec(), distance, 3, cfg)
+    fitted, joined = [], []
+    real_fit, concatenate = seqlink.raster.fit, np.concatenate
+
+    def recording_fit(sigma, *args):
+        fitted.append(sigma.shape[1:])
+        return real_fit(sigma, *args)
+
+    def recording_concatenate(arrays, *args, **kwargs):
+        out = concatenate(arrays, *args, **kwargs)
+        joined.append(out.shape)
+        return out
+
+    monkeypatch.setattr(seqlink.raster, "fit", recording_fit)
+    monkeypatch.setattr(np, "concatenate", recording_concatenate)
+    process_stack_sequential(new, past_raster, past, PluginSpec(), distance,
+                             3, cfg)
+    l = p + k
+    assert len(fitted) == height
+    assert set(fitted) == {(k, l) if distance == "frob" else (l, l)}
+    assert (l, height, width) not in joined
 
 
 def assert_same_raster(a, b):

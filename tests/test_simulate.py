@@ -20,6 +20,7 @@ from seqlink import (
     scm,
     toeplitz_coherence,
 )
+from seqlink.simulate import matrix_sqrt
 
 
 # ---------------------------------------------------------------------------
@@ -256,3 +257,13 @@ def test_sample_stack_dispatches_on_distribution():
         sample_stack(sigma, cfg_s), sample_scaled_gaussian(sigma, 16, 1.0, 42))
     assert np.array_equal(sample_stack(sigma, cfg_g, seed=5),
                           sample_gaussian(sigma, 16, 5))
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "scaled_gaussian"])
+def test_sample_stack_from_a_shared_root_is_the_same_draw(distribution):
+    sim = SimulationConfig(l=6, p=4, k=2, distribution=distribution, n=16)
+    _, _, sigma = ground_truth(sim)
+    root = matrix_sqrt(sigma)
+    for seed in (3, np.random.SeedSequence([0, 16, 2])):
+        assert np.array_equal(sample_stack(sigma, sim, seed, root),
+                              sample_stack(sigma, sim, seed))

@@ -861,6 +861,23 @@ def test_frob_update_reads_no_past_block():
     assert np.array_equal(first.iterations, second.iterations)
 
 
+def test_frob_fit_of_the_last_rows_is_the_fit_of_the_whole_plugins():
+    """A least-squares fit given only the k new rows of its plug-ins fits
+    them to the same bits; a spectral fit refuses rows."""
+    rng = np.random.default_rng(97)
+    l, p, count = 9, 6, 8
+    sigma = np.array([scm(random_stack(rng, 2 * l, l)) for _ in range(count)])
+    w_past = np.array([random_torus(rng, p) for _ in range(count)])
+    cfg = MMConfig(max_iters=5000, tol=1e-10)
+    whole = fit(sigma.copy(), cfg, "frob", w_past)
+    rows = fit(sigma[:, p:].copy(), cfg, "frob", w_past)
+    assert whole.converged.all()
+    assert np.array_equal(rows.phases, whole.phases)
+    assert np.array_equal(rows.iterations, whole.iterations)
+    with pytest.raises(ValueError, match="spectral fit"):
+        fit(sigma[:, p:].copy(), cfg, "kl", w_past)
+
+
 def test_kl_update_inverts_nothing_wider_than_the_new_block(monkeypatch):
     rng = np.random.default_rng(96)
     l, p, count = 35, 30, 8
