@@ -23,6 +23,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .linalg import abs_entrywise, partition, schur_factors
 from .plugins import PluginSpec, estimate, regularize, scm, window_estimates
 from .raster import _run_rows
@@ -166,15 +167,16 @@ def _raw_plugins(cfg, sigma_true, root, sim, trials):
 def _fit(cfg, sigma, w_past):
     """Each row of a (T, d, d) plug-in stack fitted given its (T, p) past
     phases (see solvers.fit): its past phases then the new ones, or NaN where
-    a solve failed or the past holds NaN. fit reads a copy of sigma's rows,
-    since it may overwrite its input."""
+    a solve failed or the past holds NaN. fit never writes sigma, so it
+    reads sigma itself (say, a view of the trials' whole plug-ins) when
+    every past is usable, and a copy of the usable rows otherwise."""
     p = w_past.shape[-1]
     out = np.full((len(sigma), sigma.shape[-1]), np.nan, dtype=complex)
     out[:, :p] = w_past
     ok = ~np.isnan(w_past).any(axis=1)
     if ok.any():
-        out[ok, p:] = fit(sigma[ok], cfg.solver, cfg.distance,
-                          w_past[ok]).phases
+        out[ok, p:] = fit(sigma if ok.all() else sigma[ok], cfg.solver,
+                          cfg.distance, w_past[ok]).phases
     return out
 
 
@@ -321,6 +323,10 @@ def timing_experiment(
     estimator built by plugins.window_estimates over one simulated row band
     of PLUGIN_BAND (window, width) pixels, for the rows the update fit reads
     (the k new ones for the least-squares fit, all l for the spectral fit).
+    Every run reads the same arrays, uncopied, since neither fit nor _solve
+    writes its input. The warm-up and the timed runs hold
+    blas.single_blas_thread, as the raster and bench workers do: unpinned,
+    OpenBLAS's own threads make single small solves slow now and then.
     """
     if not (p >= k >= 1):
         raise ValueError("need p >= k >= 1")
@@ -344,25 +350,18 @@ def timing_experiment(
     factors = (schur_factors(abs_entrywise(sigma_hat[None]), p)
                if distance == "kl" else None)
 
-    # the least-squares terms overwrite the new block: each run copies it
     def run_seq():
-        return _solve(distance, replace(blocks, new=blocks.new.copy()),
-                      factors, w_past, cfg)
+        return _solve(distance, blocks, factors, w_past, cfg)
 
-    # fit may overwrite its input
     def run_seq_fit():
-        return fit(sigma_hat[None].copy(), cfg, distance, w_past)
+        return fit(sigma_hat[None], cfg, distance, w_past)
 
     def run_offline():
-        return fit(sigma_hat[None].copy(), cfg, distance)
+        return fit(sigma_hat[None], cfg, distance)
 
     # the middle row's window covers the whole band
     def run_plugin():
         return window_estimates(band, win // 2, win, spec, first)
-
-    # warm caches (BLAS paths)
-    for run in (run_seq, run_seq_fit, run_offline, run_plugin):
-        run()
 
     def median_ms(fn):
         times = []
@@ -372,6 +371,11 @@ def timing_experiment(
             times.append(time.perf_counter() - start)
         return float(np.median(times) * 1000.0)
 
-    return {"seq_ms": median_ms(run_seq), "offline_ms": median_ms(run_offline),
-            "seq_fit_ms": median_ms(run_seq_fit),
-            "plugin_ms": median_ms(run_plugin)}
+    with single_blas_thread():
+        # warm caches (BLAS paths)
+        for run in (run_seq, run_seq_fit, run_offline, run_plugin):
+            run()
+        return {"seq_ms": median_ms(run_seq),
+                "offline_ms": median_ms(run_offline),
+                "seq_fit_ms": median_ms(run_seq_fit),
+                "plugin_ms": median_ms(run_plugin)}

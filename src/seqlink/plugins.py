@@ -118,7 +118,9 @@ def taper_mask(l: int, bandwidth: int) -> np.ndarray:
 
 
 def regularize(sigma: np.ndarray, spec: PluginSpec) -> np.ndarray:
-    """Apply spec's regularizer to a plug-in or a (..., l, l) stack of them."""
+    """Apply spec's regularizer to a plug-in or a (..., l, l) stack of them,
+    out of place: sigma, which may be a view of a larger plug-in, is not
+    written."""
     if spec.regularizer == "shrink":
         return shrink_to_identity(sigma, spec.beta)
     if spec.regularizer == "taper":
@@ -166,6 +168,11 @@ def window_estimates(data, row: int, win: int, spec: PluginSpec,
     `scm`'s last diagonal entry, which BLAS may round in a different
     partial tile. `scm` shrinkage takes the whole plug-in's trace from a box
     sum of the window's squared moduli, which agrees to rounding.
+
+    The regularizer works in place on the output, whole plug-in or rows, so
+    no second (width, l - first, l) array is built. The whole plug-in equals
+    regularize() of the unregularized one (==, which does not see the sign
+    of a zero: out of place, shrinkage adds +0 to the off-diagonal entries).
 
     The products run on one BLAS thread, since their rounding can depend on
     the BLAS thread count; so the result is the same whether or not the
@@ -236,14 +243,18 @@ def window_estimates(data, row: int, win: int, spec: PluginSpec,
     diag = np.arange(l - first)
     if spec.estimator == "po":
         sigma[:, diag, first + diag] = 1.0
-    if not first:
-        return regularize(sigma, spec)
+    # the plug-in is this call's own array: regularize it in place
     if spec.regularizer == "taper":
         sigma *= taper_mask(l, spec.bandwidth)[first:]
     elif spec.regularizer == "shrink":
-        # shrink to the whole plug-in's trace: l under the unit diagonal of
-        # po, else the box sum of the window's squared moduli
-        scale = trace[:, 0] / (area * l) if shrink_rows else np.ones(width)
+        # shrink to the whole plug-in's trace: its own; for rows, l under
+        # po's unit diagonal, else the box sum of the window's squared moduli
+        if not first:
+            scale = np.trace(sigma, axis1=-2, axis2=-1).real / l
+        elif shrink_rows:
+            scale = trace[:, 0] / (area * l)
+        else:
+            scale = np.ones(width)
         sigma *= spec.beta
         sigma[:, diag, first + diag] += ((1.0 - spec.beta) * scale)[:, None]
     return sigma

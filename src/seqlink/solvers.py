@@ -165,13 +165,16 @@ def _shifted_step(mat, shift, w, u):
     return nxt, product, np.vecdot(nxt, product).real
 
 
-def torus_mm(h, b, cfg: MMConfig = MMConfig(), trace: bool = False,
+def torus_mm(mat, cfg: MMConfig = MMConfig(), trace: bool = False,
              *, shift=None, w0=None) -> BatchReport:
     """MM on a stack of B problems at once.
 
-    Problem i minimizes -Re(wᴴ(H_i w + 2 b_i)) over the torus, with h
-    (B, k, k) Hermitian and b (B, k) (or anything that broadcasts, such as
-    0). Each step minimizes the linearization at the iterate,
+    Problem i minimizes -Re(wᴴ(H_i w + 2 b_i)) over the torus, given as the
+    bordered matrix mat_i = [[H_i, b_i], [b_iᴴ, 0]] of a (B, k+1, k+1)
+    stack, with H_i Hermitian: with w̃ = (w, 1), the one product mat w̃ per
+    iterate holds the next step's H w + b, and w̃ᴴ mat w̃ is the negated
+    cost. frob_seq_terms and kl_seq_terms build such stacks; mat is read,
+    never written. Each step minimizes the linearization at the iterate,
     w⁺ = Φ(s w + H w + b), which majorizes the cost whenever sI + H is
     positive semidefinite; a zero coefficient keeps the previous iterate.
 
@@ -193,15 +196,7 @@ def torus_mm(h, b, cfg: MMConfig = MMConfig(), trace: bool = False,
     per solve rather than at every step where a problem stops. Each result
     is the same whatever else is in the batch.
     """
-    count, dim = len(h), h.shape[-1]
-    # bordered matrices [[H, b], [bᴴ, 0]]: with w̃ = (w, 1), the one
-    # product H̃w̃ per iterate holds the next step's H w + b, and w̃ᴴH̃w̃ is
-    # the negated cost
-    mat = np.empty((count, dim + 1, dim + 1), dtype=complex)
-    mat[:, :dim, :dim] = h
-    mat[:, :dim, dim] = b
-    mat[:, dim, :dim] = np.conj(b)
-    mat[:, dim, dim] = 0.0
+    count, dim = len(mat), mat.shape[-1] - 1
     w = np.ones((count, dim + 1), dtype=complex)
     if w0 is not None:
         w[:, :dim] = w0
@@ -287,65 +282,84 @@ def _one(parts):
     return type(parts)(**{k: np.array(x)[None] for k, x in vars(parts).items()})
 
 
+def _bordered(b) -> np.ndarray:
+    """torus_mm's stack for a (..., k) b, with b already written into its
+    border; the caller writes H into its top-left block."""
+    k = b.shape[-1]
+    mat = np.empty(b.shape[:-1] + (k + 1, k + 1), dtype=complex)
+    mat[..., :k, k] = b
+    mat[..., k, :k] = np.conj(b)
+    mat[..., k, k] = 0.0
+    return mat
+
+
 def kl_seq_terms(blocks: BlockCov, factors: SchurFactors, w_past):
-    """torus_mm's (M, n) for the sequential spectral-fit problem, which is
-    torus_mm(-M, n) shifted by λ_max(M).
+    """torus_mm's bordered stack for the sequential spectral-fit problem,
+    which is torus_mm(mat) shifted by λ_max(M), and M itself.
 
     The block objective w_pastᴴ(F⁻¹∘Σ_p)w_past + 2Re(w̄ᴴ(A∘Σ_pn)w_past)
     + w̄ᴴ(D⁻¹∘Σ_n)w̄ is c - 2Re(w̄ᴴn) + w̄ᴴMw̄ with M = D⁻¹∘Σ_n and
-    n = ((-A)∘Σ_pn) w_past. The past term c does not depend on w̄, so it is
-    left out: only k x k and k x p objects enter the fit, and F⁻¹ is never
-    formed. With an empty past (p = 0), M = |Σ|⁻¹∘Σ and n = 0. Blocks and
-    factors may carry a leading stack axis (with w_past (B, p)).
+    n = ((-A)∘Σ_pn) w_past, so mat holds H = -M and b = n. The past term c
+    does not depend on w̄, so it is left out: only k x k and k x p objects
+    enter the fit, and F⁻¹ is never formed. With an empty past (p = 0),
+    M = |Σ|⁻¹∘Σ and n = 0. Blocks and factors may carry a leading stack
+    axis (with w_past (B, p)); neither is written.
     """
     m_mat = hadamard(factors.d_inv, blocks.new)
     n_vec = np.matvec(hadamard(-factors.a_mat, blocks.cross), w_past)
-    return m_mat, n_vec
+    mat = _bordered(n_vec)
+    np.negative(m_mat, out=mat[..., :-1, :-1])
+    return mat, m_mat
 
 
 def frob_seq_terms(cross, new, w_past):
-    """torus_mm's (h, b) for the sequential least-squares problem; h is
-    built in place in new, which it overwrites.
+    """torus_mm's bordered stack for the sequential least-squares problem.
 
     The block objective -2[wᴴ(|Σ_p|∘Σ_p)w + 2Re(w̄ᴴ(|Σ_pn|∘Σ_pn)w)
     + w̄ᴴ(|Σ_n|∘Σ_n)w̄] is a constant past term plus torus_mm's form with
-    h = 2(|Σ_n|∘Σ_n) and b = 2(|Σ_pn|∘Σ_pn) w_past; the past block Σ_p
-    enters only the constant, so it is not read. With an empty past
-    (p = 0), h = 2(|Σ|∘Σ) and b = 0. Blocks may carry a leading stack axis
-    (with w_past (B, p)).
+    H = 2(|Σ_n|∘Σ_n) and b = 2(|Σ_pn|∘Σ_pn) w_past; the past block Σ_p
+    enters only the constant, so it is not read. H is built straight into
+    the stack's top-left block, so cross and new are not written. With an
+    empty past (p = 0), H = 2(|Σ|∘Σ) and b = 0. Blocks may carry a leading
+    stack axis (with w_past (B, p)).
     """
     w_past = np.asarray(w_past, dtype=complex)
     b = 2.0 * np.matvec(hadamard(abs_entrywise(cross), cross), w_past)
-    new *= abs_entrywise(new)
-    new *= 2.0
-    return new, b
+    mat = _bordered(b)
+    h = mat[..., :-1, :-1]
+    np.multiply(new, abs_entrywise(new), out=h)
+    h *= 2.0
+    return mat
 
 
 def _solve(distance, blocks: BlockCov, factors, w_past, cfg,
            trace=False) -> BatchReport:
     """torus_mm on one objective over a stack split at p >= 0: what fit runs
     once the partition and, for the spectral fit, the Schur factors exist.
+    Neither blocks nor factors are written.
 
-    The spectral fit is torus_mm(-M, n) shifted by λ_max(M). With an empty
-    past, one stacked eigendecomposition of M = Ψ⁻¹∘Σ gives both the shift
-    and, unless cfg.init is set, the EMI start: the phase of the eigenvector
-    of the smallest eigenvalue; and, with no past to hold the phase
-    reference, the phases are anchored to the first date.
+    The spectral fit is torus_mm on H = -M and b = n, shifted by λ_max(M)
+    (see kl_seq_terms). With an empty past, one stacked eigendecomposition
+    of M = Ψ⁻¹∘Σ gives both the shift and, unless cfg.init is set, the EMI
+    start: the phase of the eigenvector of the smallest eigenvalue; and,
+    with no past to hold the phase reference, the phases are anchored to
+    the first date.
     """
     if distance == "frob":
-        h, b = frob_seq_terms(blocks.cross, blocks.new, w_past)
+        mat = frob_seq_terms(blocks.cross, blocks.new, w_past)
         shift = w0 = None
     else:
-        m_mat, b = kl_seq_terms(blocks, factors, w_past)
+        mat, m_mat = kl_seq_terms(blocks, factors, w_past)
         del factors  # lets D⁻¹ and |Σ| go before the MM if no caller keeps them
-        h = -m_mat
         if blocks.p:
             shift, w0 = largest_eigenvalue(m_mat), None
         else:
             vals, vecs = np.linalg.eigh(m_mat)
             shift = vals[:, -1]
             w0 = phase_project(vecs[..., 0]) if cfg.init is None else None
-    batch = torus_mm(h, b, cfg, trace, shift=shift, w0=w0)
+            del vecs
+        del m_mat  # mat holds -M: M and its eigenvectors go before the MM
+    batch = torus_mm(mat, cfg, trace, shift=shift, w0=w0)
     if not blocks.p:
         batch.phases = anchor_reference(batch.phases)
     return batch
@@ -368,7 +382,7 @@ def solve_offline_kl(sigma: np.ndarray, cfg: MMConfig = MMConfig()) -> SolveRepo
     restarted momentum, from the EMI start unless cfg.init is set (see
     _solve). Output is anchored to the first date.
     """
-    return _single(_fit(np.array(sigma)[None], cfg, "kl", np.ones((1, 0)),
+    return _single(_fit(np.asarray(sigma)[None], cfg, "kl", np.ones((1, 0)),
                         trace=True))
 
 
@@ -377,7 +391,7 @@ def solve_offline_frob(sigma: np.ndarray, cfg: MMConfig = MMConfig()) -> SolveRe
     sequential fit from an empty past: w⁺ = Φ(H w) with H = 2(Ψ∘Σ). Output
     is anchored to the first date; sigma is not modified.
     """
-    return _single(_fit(np.array(sigma)[None], cfg, "frob", np.ones((1, 0)),
+    return _single(_fit(np.asarray(sigma)[None], cfg, "frob", np.ones((1, 0)),
                         trace=True))
 
 
@@ -438,8 +452,8 @@ def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
     a time, each with jittered_cholesky's rescue. A problem that still
     raises a solver or linear-algebra error gets NaN phases, 0 iterations
     and converged False; the others are unaffected, since no problem's
-    result depends on the rest of its stack. May overwrite sigma: the
-    least-squares H is built in place in its new block.
+    result depends on the rest of its stack. sigma is read, never written,
+    so it may be a view (say, of a larger stack) or read-only.
     """
     check_distance(distance)
     if distance == "kl" and sigma.shape[-2] != sigma.shape[-1]:

@@ -28,12 +28,14 @@ def write_stack(path, stack: ImageStack, dtype: str = "complex128") -> None:
     if dtype not in _DTYPE_CODES:
         raise ValueError(f"dtype must be one of {sorted(_DTYPE_CODES)}")
     code = _DTYPE_CODES[dtype]
-    data = np.ascontiguousarray(stack.data.astype(_CODE_DTYPES[code]))
+    # one copy at most (none for a C-ordered stack of the file's dtype),
+    # written straight from the array's buffer
+    data = np.ascontiguousarray(stack.data, dtype=_CODE_DTYPES[code])
     header = _HEADER.pack(MAGIC, STACK_VERSION, stack.count, stack.height,
                           stack.width, code, b"\x00" * 7)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data.tobytes(order="C"))
+        fh.write(data.data)
 
 
 def read_stack(path) -> ImageStack:

@@ -224,7 +224,7 @@ def test_every_bound_fits_a_leading_block_of_one_plugin_per_trial(
     fit, plugin = seqlink.bench.fit, seqlink.bench.estimate
 
     def recording_fit(sigma, solver, distance, w_past=None):
-        fitted.append(sigma.copy())  # fit may overwrite its input
+        fitted.append(sigma)
         return fit(sigma, solver, distance, w_past)
 
     def counting_estimate(stack, spec):
@@ -244,6 +244,34 @@ def test_every_bound_fits_a_leading_block_of_one_plugin_per_trial(
         if d == cfg.sim.l:
             for t, stack in enumerate(stacks):
                 assert np.array_equal(sigma[t], estimate(stack, spec))
+
+
+@pytest.mark.parametrize("distance", ["kl", "frob"])
+def test_fit_reads_the_trial_stack_in_place_when_no_trial_fails(monkeypatch,
+                                                                distance):
+    """Without a regularizer, every link fits a view of the trials' one
+    plug-in stack: no trial's past failed, so nothing is copied."""
+    cfg = small_cfg(sim=SimulationConfig(l=8, p=6, k=2, rho=0.9),
+                    mode="multiblock", sizes=(3, 3, 2), trials=5,
+                    n_grid=(20,), distance=distance)
+    plugins, fitted = [], []
+    raw_plugins, fit = seqlink.bench._raw_plugins, seqlink.bench.fit
+
+    def recording_raw_plugins(*args):
+        plugins.append(raw_plugins(*args))
+        return plugins[-1]
+
+    def recording_fit(sigma, solver, distance, w_past=None):
+        fitted.append(sigma)
+        return fit(sigma, solver, distance, w_past)
+
+    monkeypatch.setattr(seqlink.bench, "_raw_plugins", recording_raw_plugins)
+    monkeypatch.setattr(seqlink.bench, "fit", recording_fit)
+    rows = multiblock_experiment(cfg)
+    assert all(row.excluded == 0 for row in rows)
+    (full,) = plugins
+    assert len(fitted) == 6
+    assert all(np.shares_memory(sigma, full) for sigma in fitted)
 
 
 @pytest.mark.parametrize("distribution", ["gaussian", "scaled_gaussian"])

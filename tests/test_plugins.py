@@ -1,4 +1,7 @@
 """Plug-in estimator tests: SCM, phase-only, shrinkage and tapering."""
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from seqlink.plugins import (
     PluginSpec,
     estimate,
     phase_only,
+    regularize,
     scm,
     shrink_to_identity,
     taper,
@@ -391,6 +395,30 @@ def test_window_estimate_rows_are_the_whole_plugins_rows(spec, l, height,
             if spec.regularizer != "shrink":
                 gap[:, -1, -1] = 0.0
                 assert not gap.any(), (row, k)
+
+
+@pytest.mark.parametrize("spec", [
+    PluginSpec(est, reg, beta=0.7, bandwidth=9)
+    for est in ("scm", "po") for reg in ("shrink", "taper")],
+    ids=lambda s: "-".join(s.label()))
+def test_window_estimates_regularize_the_whole_plugin_in_place(spec):
+    """The whole regularized plug-in is regularize() of the unregularized
+    one, and costs no more memory to build than it."""
+    rng = np.random.default_rng(44)
+    data = heavy_tailed_stack(rng, 105, 11, 8)
+    plain = replace(spec, regularizer="none")
+    whole = window_estimates(data, 5, 11, spec)
+    assert (whole == regularize(window_estimates(data, 5, 11, plain),
+                                spec)).all()
+
+    def peak(spec):
+        tracemalloc.start()
+        window_estimates(data, 5, 11, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    assert peak(spec) <= 1.1 * peak(plain)
 
 
 @pytest.mark.parametrize("first", [0, 7])

@@ -57,6 +57,18 @@ def random_stack(rng, n, l):
     return (rng.standard_normal((n, l)) + 1j * rng.standard_normal((n, l))) / np.sqrt(2)
 
 
+def bordered(h, b):
+    """torus_mm's (B, k+1, k+1) stack [[H, b], [bᴴ, 0]] of a (B, k, k) H
+    and a (B, k) b (or anything that broadcasts, such as 0)."""
+    count, dim = len(h), h.shape[-1]
+    mat = np.empty((count, dim + 1, dim + 1), dtype=complex)
+    mat[:, :dim, :dim] = h
+    mat[:, :dim, dim] = b
+    mat[:, dim, :dim] = np.conj(b)
+    mat[:, dim, dim] = 0.0
+    return mat
+
+
 TIGHT = MMConfig(max_iters=1000, tol=1e-15)
 
 
@@ -192,10 +204,13 @@ def test_kl_seq_terms_read_only_d_inv_and_a():
     sigma = scm(random_stack(rng, 18, 6)) + 0.2 * np.eye(6)
     blocks, factors = seq_inputs(sigma, 4)
     w_past = random_torus(rng, 4)
-    m_mat, n_vec = kl_seq_terms(blocks, factors, w_past)
+    mat, m_mat = kl_seq_terms(blocks, factors, w_past)
     assert np.array_equal(m_mat, factors.d_inv * blocks.new)
+    assert np.array_equal(mat[:2, :2], -m_mat)
+    n_vec = mat[:2, 2]
     assert np.allclose(n_vec, -(factors.a_mat * blocks.cross) @ w_past,
                        rtol=0.0, atol=1e-14)
+    assert np.array_equal(mat[2, :2], np.conj(n_vec)) and mat[2, 2] == 0.0
 
 
 def test_seq_kl_recovers_noiseless_new_phases():
@@ -489,10 +504,10 @@ def frob_problems(rng, count, k=6, p=5):
             bs.append(np.zeros(k))
         else:
             blocks = partition(sigma, p)
-            h, b = frob_seq_terms(blocks.cross, blocks.new,
-                                  random_torus(rng, p))
-            hs.append(h)
-            bs.append(b)
+            mat = frob_seq_terms(blocks.cross, blocks.new,
+                                 random_torus(rng, p))
+            hs.append(mat[:k, :k])
+            bs.append(mat[:k, k])
     return np.array(hs), np.array(bs)
 
 
@@ -501,14 +516,14 @@ def test_frob_mm_result_does_not_depend_on_the_batch():
     h, b = frob_problems(rng, 12)
     # a budget that some problems exhaust and others do not
     cfg = MMConfig(max_iters=300, tol=1e-8)
-    alone = [torus_mm(h[i:i + 1], b[i:i + 1], cfg, trace=True)
+    alone = [torus_mm(bordered(h[i:i + 1], b[i:i + 1]), cfg, trace=True)
              for i in range(12)]
     assert len({int(a.iterations[0]) for a in alone}) > 3
     assert {bool(a.converged[0]) for a in alone} == {True, False}
     batches = [np.arange(12), np.arange(12)[::-1], rng.permutation(12)[:5],
                np.array([3, 3, 7]), rng.permutation(12)[:2]]
     for members in batches:
-        batch = torus_mm(h[members], b[members], cfg, trace=True)
+        batch = torus_mm(bordered(h[members], b[members]), cfg, trace=True)
         for j, i in enumerate(members):
             assert np.array_equal(batch.phases[j], alone[i].phases[0])
             assert batch.iterations[j] == alone[i].iterations[0]
@@ -527,10 +542,10 @@ def test_frob_mm_cost_trace_never_rises_and_is_the_objective():
         sigmas = [scm(random_stack(rng, 2 * (k + p), k + p)) for _ in range(6)]
         w_past = np.array([random_torus(rng, p) for _ in sigmas])
         blocks = [partition(s, p) for s in sigmas]
-        h, b = frob_seq_terms(np.array([bl.cross for bl in blocks]),
-                              np.array([bl.new for bl in blocks]), w_past)
+        mat = frob_seq_terms(np.array([bl.cross for bl in blocks]),
+                             np.array([bl.new for bl in blocks]), w_past)
         cfg = MMConfig(max_iters=40, tol=0.0, init=random_torus(rng, k))
-        batch = torus_mm(h, b, cfg, trace=True)
+        batch = torus_mm(mat, cfg, trace=True)
         for j, bl in enumerate(blocks):
             # torus_mm leaves out the constant past term; add it back
             const = -2.0 * quad_form(w_past[j],
@@ -546,7 +561,8 @@ def test_frob_mm_keeps_the_previous_iterate_on_zero_coefficients():
     h = np.zeros((2, 3, 3), dtype=complex)
     h[:, :2, :2] = [[2.0, 1.0], [1.0, 2.0]]
     start = np.exp(1j * np.array([0.3, -0.2, 1.1]))
-    batch = torus_mm(h, 0.0, MMConfig(max_iters=50, tol=1e-14, init=start))
+    batch = torus_mm(bordered(h, 0.0),
+                     MMConfig(max_iters=50, tol=1e-14, init=start))
     assert np.array_equal(batch.phases[:, 2], np.full(2, start[2]))
     assert batch.converged.all()
 
@@ -583,7 +599,7 @@ def test_frob_mm_without_shift_is_the_reference_plain_mm():
     h, b = frob_problems(rng, 12)
     for cfg in (MMConfig(max_iters=300, tol=1e-8),
                 MMConfig(max_iters=40, tol=0.0, init=random_torus(rng, 6))):
-        batch = torus_mm(h, b, cfg)
+        batch = torus_mm(bordered(h, b), cfg)
         for i in range(12):
             phases, iterations, converged = reference_plain_mm(h[i], b[i],
                                                                cfg)
@@ -616,12 +632,13 @@ def test_momentum_traces_never_rise_with_restarts_at_different_steps(
     restarts = []
     for i in range(count):
         calls.clear()
-        one = torus_mm(-h[i:i + 1], 0.0, cfg, shift=lam[i:i + 1],
+        one = torus_mm(bordered(-h[i:i + 1], 0.0), cfg, shift=lam[i:i + 1],
                        w0=starts[i:i + 1])
         # one step per iteration, plus one plain step per restart
         restarts.append(len(calls) - int(one.iterations[0]))
     assert min(restarts) > 0 and len(set(restarts)) > 1
-    batch = torus_mm(-h, 0.0, cfg, trace=True, shift=lam, w0=starts)
+    batch = torus_mm(bordered(-h, 0.0), cfg, trace=True, shift=lam,
+                     w0=starts)
     for j in range(count):
         trace = batch.cost_trace[:, j]
         trace = trace[~np.isnan(trace)]
@@ -663,7 +680,7 @@ def record_steps(monkeypatch):
 
 def assert_rows_are_single_solves(batch, h, b, shift, cfg):
     for i in range(len(h)):
-        one = torus_mm(h[i:i + 1], b[i:i + 1], cfg, trace=True,
+        one = torus_mm(bordered(h[i:i + 1], b[i:i + 1]), cfg, trace=True,
                        shift=None if shift is None else shift[i:i + 1])
         steps = int(one.iterations[0]) + 1
         assert np.array_equal(batch.phases[i], one.phases[0])
@@ -689,7 +706,7 @@ def test_torus_mm_compaction_keeps_each_problem_its_single_solve(monkeypatch):
     h = np.concatenate([diagonal, h[1:3]])
     b = np.concatenate([np.zeros((fixed, dim)), b[1:3]])
     cfg = MMConfig(max_iters=400, tol=1e-14)
-    batch = torus_mm(h, b, cfg, trace=True)
+    batch = torus_mm(bordered(h, b), cfg, trace=True)
     assert (batch.iterations[:fixed] == 1).all()
     assert (batch.iterations[fixed:] > 10).all()
     assert_rows_are_single_solves(batch, h, b, None, cfg)
@@ -703,7 +720,8 @@ def test_torus_mm_compaction_keeps_each_problem_its_single_solve(monkeypatch):
     stops, restarts = [], []
     for i in range(len(sigma)):
         finish = record_steps(monkeypatch)
-        one = torus_mm(-kl_h[i:i + 1], 0.0, cfg, shift=lam[i:i + 1])
+        one = torus_mm(bordered(-kl_h[i:i + 1], 0.0), cfg,
+                       shift=lam[i:i + 1])
         stops.append(int(one.iterations[0]))
         restarts.append({n + 2 for n, sizes in enumerate(finish())
                          if len(sizes) == 2})
@@ -713,7 +731,7 @@ def test_torus_mm_compaction_keeps_each_problem_its_single_solve(monkeypatch):
     shift = np.concatenate([np.full(fixed, 2.0), lam[[y, z]]])
     b = np.zeros((len(h), dim))
     finish = record_steps(monkeypatch)
-    batch = torus_mm(h, 0.0, cfg, trace=True, shift=shift)
+    batch = torus_mm(bordered(h, 0.0), cfg, trace=True, shift=shift)
     steps = finish()
     # compacted to y and z after step 1, to y alone after z's stop, which is
     # a step where y's momentum restarts
@@ -797,16 +815,44 @@ def test_fit_rows_are_single_solves_and_a_failed_row_is_nan(distance,
     assert failed == ([1] if distance == "kl" else [])
 
 
+@pytest.mark.parametrize("distance, past", [
+    ("kl", "offline"), ("kl", "update"), ("frob", "offline"),
+    ("frob", "update"), ("frob", "rows")])
+def test_fit_reads_a_read_only_stack_and_leaves_it_unchanged(distance, past):
+    """fit never writes its input: a read-only stack (one problem of which,
+    under the spectral fit, fails and is rerun alone) fits as a writable
+    copy does. "rows" is a least-squares update given only the new rows."""
+    rng = np.random.default_rng(97)
+    l, p = 7, 4
+    sigma = np.array([scm(random_stack(rng, 3 * l, l)) for _ in range(4)])
+    sigma[1] = np.eye(l)
+    sigma[1, :2, :2] = [[1.0, 2.0], [2.0, 1.0]]  # |Σ| not positive definite
+    if past == "rows":
+        sigma = sigma[:, p:].copy()
+    w_past = (None if past == "offline"
+              else np.array([random_torus(rng, p) for _ in sigma]))
+    cfg = MMConfig(max_iters=200, tol=1e-12)
+    expected = fit(sigma.copy(), cfg, distance, w_past)
+    frozen = sigma.copy()
+    frozen.flags.writeable = False
+    batch = fit(frozen, cfg, distance, w_past)
+    assert np.array_equal(frozen, sigma)
+    assert np.array_equal(batch.phases, expected.phases, equal_nan=True)
+    assert np.array_equal(batch.iterations, expected.iterations)
+    assert np.isnan(batch.phases[1]).all() == (distance == "kl")
+
+
 def direct_offline(sigma, distance, cfg):
     """One offline problem written from the whole matrix: H = 2(|Σ|∘Σ) with
     plain steps, or H = Ψ⁻¹∘Σ shifted by its largest eigenvalue from the
     EMI start; the phases anchored to date 0."""
     if distance == "frob":
-        batch = torus_mm(2.0 * abs_entrywise(sigma) * sigma, 0.0, cfg)
+        batch = torus_mm(bordered(2.0 * abs_entrywise(sigma) * sigma, 0.0),
+                         cfg)
     else:
         h = pd_inverse(abs_entrywise(sigma)) * sigma
         vals, vecs = np.linalg.eigh(h)
-        batch = torus_mm(-h, 0.0, cfg, shift=vals[:, -1],
+        batch = torus_mm(bordered(-h, 0.0), cfg, shift=vals[:, -1],
                          w0=phase_project(vecs[..., 0]))
     batch.phases = anchor_reference(batch.phases)
     return batch
