@@ -73,7 +73,6 @@ class ExperimentConfig:
     trials: int = 200
     master_seed: int = 0
     inject_truth: bool = False
-    solver: MMConfig = BENCH_SOLVER
 
     def __post_init__(self):
         check_distance(self.distance)
@@ -175,7 +174,7 @@ def _fit(cfg, sigma, w_past):
     out[:, :p] = w_past
     ok = ~np.isnan(w_past).any(axis=1)
     if ok.any():
-        out[ok, p:] = fit(sigma if ok.all() else sigma[ok], cfg.solver,
+        out[ok, p:] = fit(sigma if ok.all() else sigma[ok], BENCH_SOLVER,
                           cfg.distance, w_past[ok]).phases
     return out
 
@@ -262,7 +261,7 @@ def trial_errors(cfg: ExperimentConfig, n: int, threads: int = 1) -> np.ndarray:
     """Per-trial squared errors at one sample size (NaN marks excluded
     trials); offline/sequential measure the first-to-last phase difference."""
     if cfg.mode == "multiblock":
-        raise ValueError("use multiblock_experiment for multiblock configs")
+        raise ValueError("use mc_mse_experiment for multiblock configs")
     (errors,) = _arm_errors(cfg, n, threads).values()
     return errors
 
@@ -289,14 +288,6 @@ def mc_mse_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[MseRow]:
     return [_aggregate(cfg, arm, n, errors)
             for n in sorted(cfg.n_grid)
             for arm, errors in _arm_errors(cfg, n, threads).items()]
-
-
-def multiblock_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[MseRow]:
-    """Growing-archive study: the final block estimated by each of
-    MULTIBLOCK_ARMS (see _arms), one row per sample size and arm."""
-    if cfg.mode != "multiblock":
-        raise ValueError("config mode must be 'multiblock'")
-    return mc_mse_experiment(cfg, threads)
 
 
 def timing_experiment(

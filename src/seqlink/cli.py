@@ -1,7 +1,8 @@
 """Command-line front end: simulate stacks, solve them, run Monte Carlo
 benchmarks, and time sequential vs offline solves.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
+Exit codes: 0 success; 2 usage or validation error, bad value or I/O error
+(ConfigError, ValueError, OSError); 1 any other failure ("runtime failure").
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .bench import (
 )
 from .blas import blas_pinnable
 from .config import build_plugin, load_experiments, load_simulate_job
-from .errors import ConfigError, SeqlinkError
+from .errors import ConfigError
 from .plugins import window_bounds
 from .raster import (
     ImageStack,
@@ -29,7 +30,7 @@ from .raster import (
     wrap_angle,
 )
 from .simulate import ground_truth, sample_stack
-from .solvers import DISTANCES, MMConfig
+from .solvers import DISTANCES
 from .stackio import (
     append_manifest,
     manifest_path_for,
@@ -114,7 +115,7 @@ def cmd_solve(args) -> int:
     stack = read_stack(args.stack)
     spec = build_plugin({"estimator": args.estimator,
                          "regularizer": args.regularizer})
-    cfg = MMConfig(max_iters=args.max_iters, tol=args.tol)
+    cfg = replace(BENCH_SOLVER, max_iters=args.max_iters)
     out = args.out or f"{args.stack}.phases.csv"
     manifest = manifest_path_for(out)
     entries = {
@@ -125,6 +126,8 @@ def cmd_solve(args) -> int:
         "regularizer": spec.label()[1],
         "window": args.window,
         "threads": threads,
+        "solver.max_iters": cfg.max_iters,
+        "solver.tol": repr(cfg.tol),
         "blas.pinned": "yes" if blas_pinnable() else "no",
         "output.raster": out,
     }
@@ -145,7 +148,7 @@ def cmd_solve(args) -> int:
     else:
         raster = process_stack_offline(
             stack, spec, args.distance, args.window, cfg, threads)
-    if args.binary:
+    if out.endswith(".slk"):
         write_phase_raster_binary(out, raster)
     else:
         write_phase_raster_csv(out, raster)
@@ -181,6 +184,8 @@ def cmd_bench(args) -> int:
     manifest = manifest_path_for(out)
     write_manifest(manifest, "bench", {
         "experiments": len(configs),
+        "solver.max_iters": BENCH_SOLVER.max_iters,
+        "solver.tol": repr(BENCH_SOLVER.tol),
         "blas.pinned": "yes" if blas_pinnable() else "no",
         "output.csv": out,
     }, echo)
@@ -248,14 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--past-phases", help="phase raster of past dates")
     p_solve.add_argument("--past-stack", help="stack file of past dates")
     p_solve.add_argument("--truth", help="truth CSV for error reporting")
-    p_solve.add_argument("--out", help="output raster path")
-    p_solve.add_argument("--binary", action="store_true",
-                         help="write the raster as unit phasors in the stack "
-                              "container instead of CSV")
+    p_solve.add_argument("--out", help="output raster path: unit phasors in "
+                                       "the stack container if it ends in "
+                                       ".slk, else CSV")
     p_solve.add_argument("--threads", type=int, default=1)
     p_solve.add_argument("--max-iters", type=int,
                          default=BENCH_SOLVER.max_iters)
-    p_solve.add_argument("--tol", type=float, default=BENCH_SOLVER.tol)
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run Monte Carlo MSE experiments")
@@ -286,16 +289,10 @@ def main(argv=None) -> int:
         return int(code) if code else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SeqlinkError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - safety net
+    except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
 

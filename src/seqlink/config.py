@@ -10,28 +10,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bench import BENCH_SOLVER, MODES, ExperimentConfig
+from .bench import MODES, ExperimentConfig
 from .errors import ConfigError
 from .plugins import ESTIMATORS, PluginSpec
 from .simulate import DISTRIBUTIONS, SimulationConfig
-from .solvers import DISTANCES, MMConfig
+from .solvers import DISTANCES
 
 _INT_KEYS = frozenset({
     "l", "p", "k", "n", "seed", "height", "width", "window", "trials",
-    "master_seed", "solver_max_iters",
+    "master_seed",
 })
-_FLOAT_KEYS = frozenset({"rho", "nu", "total_phase", "solver_tol"})
+_FLOAT_KEYS = frozenset({"rho", "nu"})
 _BOOL_KEYS = frozenset({"noiseless", "inject_truth"})
 _INT_LIST_KEYS = frozenset({"n_grid", "sizes"})
 
 _SIM_KEYS = frozenset({"l", "p", "k", "rho", "nu", "distribution", "n",
-                       "seed", "total_phase"})
+                       "seed"})
 SIMULATE_KEYS = _SIM_KEYS | frozenset({
     "height", "width", "noiseless", "window", "out", "truth_out"})
 EXPERIMENT_KEYS = _SIM_KEYS | frozenset({
     "estimator", "regularizer", "distance", "mode", "sizes", "n_grid",
-    "trials", "master_seed", "inject_truth", "solver_max_iters",
-    "solver_tol", "out",
+    "trials", "master_seed", "inject_truth", "out",
 })
 
 
@@ -181,10 +180,6 @@ def build_experiment(mapping: dict[str, str]) -> ExperimentConfig:
     values = _typed(mapping, EXPERIMENT_KEYS)
     sim = build_simulation(values)
     plugin = build_plugin(values)
-    solver = MMConfig(
-        max_iters=values.get("solver_max_iters", BENCH_SOLVER.max_iters),
-        tol=values.get("solver_tol", BENCH_SOLVER.tol),
-    )
     if "distance" in values and values["distance"] not in DISTANCES:
         raise ConfigError("distance", f"must be one of {', '.join(DISTANCES)}")
     if "mode" in values and values["mode"] not in MODES:
@@ -193,7 +188,7 @@ def build_experiment(mapping: dict[str, str]) -> ExperimentConfig:
               ("distance", "mode", "sizes", "n_grid", "trials", "master_seed",
                "inject_truth") if key in values}
     try:
-        return ExperimentConfig(sim=sim, plugin=plugin, solver=solver, **kwargs)
+        return ExperimentConfig(sim=sim, plugin=plugin, **kwargs)
     except ValueError as exc:
         raise ConfigError("experiment", str(exc)) from None
 

@@ -111,10 +111,15 @@ def taper(sigma: np.ndarray, bandwidth: int) -> np.ndarray:
     return taper_mask(sigma.shape[-1], bandwidth) * sigma
 
 
-def taper_mask(l: int, bandwidth: int) -> np.ndarray:
-    """The 0/1 banding mask applied by taper()."""
-    idx = np.arange(l)
-    return (np.abs(idx[:, None] - idx[None, :]) <= bandwidth).astype(float)
+def taper_mask(l: int, bandwidth: int, first: int = 0) -> np.ndarray:
+    """Rows first: of the l x l banding mask applied by taper(), as bools
+    (True within the band), built from two comparisons of index vectors so
+    that no l x l integer array is made."""
+    rows = np.arange(first, l)[:, None]
+    cols = np.arange(l)
+    mask = cols >= rows - bandwidth
+    mask &= cols <= rows + bandwidth
+    return mask
 
 
 def regularize(sigma: np.ndarray, spec: PluginSpec) -> np.ndarray:
@@ -245,7 +250,7 @@ def window_estimates(data, row: int, win: int, spec: PluginSpec,
         sigma[:, diag, first + diag] = 1.0
     # the plug-in is this call's own array: regularize it in place
     if spec.regularizer == "taper":
-        sigma *= taper_mask(l, spec.bandwidth)[first:]
+        sigma *= taper_mask(l, spec.bandwidth, first)
     elif spec.regularizer == "shrink":
         # shrink to the whole plug-in's trace: its own; for rows, l under
         # po's unit diagonal, else the box sum of the window's squared moduli

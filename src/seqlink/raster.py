@@ -68,16 +68,17 @@ class ImageStack:
 class PhaseRaster:
     """Per-pixel phase angles in (-pi, pi], stored as (count, height, width).
 
-    undersampled marks pixels whose clipped window held fewer samples than
-    the stack depth; failed marks pixels whose solve errored (phases NaN);
-    nonconverged marks pixels whose solver hit its iteration budget before
-    the stopping rule held (phases kept, but not to tolerance); iterations
-    holds each pixel's MM iteration count (0 where nothing was solved).
+    A pixel with a NaN angle failed (its solve errored or was skipped); the
+    failed property is that mask, so a caller marks a pixel failed by giving
+    it NaN angles. undersampled marks pixels whose clipped window held fewer
+    samples than the stack depth; nonconverged marks pixels whose solver hit
+    its iteration budget before the stopping rule held (phases kept, but not
+    to tolerance); iterations holds each pixel's MM iteration count (0 where
+    nothing was solved).
     """
 
     data: np.ndarray
     undersampled: np.ndarray = field(default=None)
-    failed: np.ndarray = field(default=None)
     nonconverged: np.ndarray = field(default=None)
     iterations: np.ndarray = field(default=None)
 
@@ -88,13 +89,18 @@ class PhaseRaster:
         if min(self.data.shape) < 1:
             raise ValueError(f"raster dims must be positive, got {self.data.shape}")
         grid = self.data.shape[1:]
-        for name, dtype in (("undersampled", bool), ("failed", bool),
-                            ("nonconverged", bool), ("iterations", int)):
+        for name, dtype in (("undersampled", bool), ("nonconverged", bool),
+                            ("iterations", int)):
             value = getattr(self, name)
             value = np.zeros(grid, dtype) if value is None else np.asarray(value, dtype)
             if value.shape != grid:
                 raise ValueError("mask shapes must match the raster grid")
             setattr(self, name, value)
+
+    @property
+    def failed(self) -> np.ndarray:
+        """(height, width) mask of the pixels with a NaN angle."""
+        return np.isnan(self.data).any(axis=0)
 
     @property
     def count(self) -> int:
@@ -107,13 +113,6 @@ class PhaseRaster:
     @property
     def width(self) -> int:
         return self.data.shape[2]
-
-
-def window_area(height: int, width: int, row: int, col: int, win: int) -> int:
-    """Sample count of the clipped win x win window centered at (row, col)."""
-    r0, r1 = window_bounds(height, win)
-    c0, c1 = window_bounds(width, win)
-    return int((r1[row] - r0[row]) * (c1[col] - c0[col]))
 
 
 def sliding_window_extract(
@@ -196,14 +195,14 @@ def _process(stacks, past, win: int, spec: PluginSpec,
             bad_grid |= bad.any(axis=0)
         signal |= np.any(data != 0, axis=0)
     undersampled, unusable = _window_masks(signal, bad_grid, win, l)
-    failed = skip | unusable
+    skipped = skip | unusable
     first = first_fitted_row(distance, len(past))
     out = np.full((l - len(past), height, width), np.nan)
     iterations = np.zeros((height, width), dtype=int)
     nonconverged = np.zeros((height, width), dtype=bool)
 
     def worker(row: int) -> None:
-        live = ~failed[row]
+        live = ~skipped[row]
         if not live.any():
             return
         sigma = window_estimates(stacks, row, win, spec, first)
@@ -213,10 +212,9 @@ def _process(stacks, past, win: int, spec: PluginSpec,
         out[:, row, live] = np.angle(batch.phases).T
         iterations[row, live] = batch.iterations
         nonconverged[row, live] = ~batch.converged & ~lost
-        failed[row, live] = lost
 
     _run_rows(height, worker, threads)
-    return PhaseRaster(out, undersampled, failed, nonconverged, iterations)
+    return PhaseRaster(out, undersampled, nonconverged, iterations)
 
 
 def process_stack_offline(
@@ -272,9 +270,8 @@ def process_stack_sequential(
         raise ValueError(
             f"past raster holds {past_phases.count} phases but past stack has "
             f"{stack_past.count} images")
-    skip = past_phases.failed | np.isnan(past_phases.data).any(axis=0)
     return _process([stack_past.data, stack_new.data], past_phases.data, win,
-                    spec, skip, cfg, distance, threads)
+                    spec, past_phases.failed, cfg, distance, threads)
 
 
 def interferogram(phases: PhaseRaster, i: int, j: int) -> np.ndarray:

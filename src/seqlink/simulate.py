@@ -29,7 +29,6 @@ class SimulationConfig:
     distribution: str = "gaussian"
     n: int = 64
     seed: int = 0
-    total_phase: float = 2.0
 
     def __post_init__(self):
         if self.p < 1 or self.k < 1:
@@ -173,7 +172,7 @@ def noiseless_stack(sigma: np.ndarray, n: int) -> np.ndarray:
 def ground_truth(cfg: SimulationConfig):
     """(coherence, true phases, true covariance) for a scenario."""
     psi = toeplitz_coherence(cfg.l, cfg.rho)
-    w = linear_phase_ramp(cfg.l, cfg.total_phase)
+    w = linear_phase_ramp(cfg.l)
     return psi, w, build_true_covariance(psi, w)
 
 

@@ -6,6 +6,11 @@ Stack container layout (little-endian, 28-byte header):
   dtype u8 (0 = complex64, 1 = complex128) | 7 reserved zero bytes
 followed by l*height*width complex entries, interleaved (re, im), image-major
 then row-major. Writing and re-reading reproduces entries bit-exactly.
+
+A phase raster is stored either as CSV or in the stack container as unit
+phasors; read_phase_raster tells the two apart by the magic bytes. Both keep
+a failed pixel as NaN angles, which is all that marks it failed (see
+raster.PhaseRaster.failed); the other per-pixel grids are not stored.
 """
 from __future__ import annotations
 
@@ -60,18 +65,6 @@ def read_stack(path) -> ImageStack:
             f"{path}: payload holds {len(payload)} bytes, expected {expected}")
     data = np.frombuffer(payload, dtype=dtype).reshape(l, height, width)
     return ImageStack(data)
-
-
-def stack_file_dtype(path) -> str:
-    """The stored element type name, without reading the payload."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-    if len(raw) < _HEADER.size or not raw.startswith(MAGIC):
-        raise ValueError(f"{path}: not a stack file")
-    code = _HEADER.unpack(raw)[5]
-    if code not in _CODE_DTYPES:
-        raise ValueError(f"{path}: unknown dtype code {code}")
-    return np.dtype(_CODE_DTYPES[code]).name
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +128,7 @@ def read_phase_raster(path) -> PhaseRaster:
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC))
     if head == MAGIC:
-        stack = read_stack(path)
-        data = np.angle(stack.data)
-        return PhaseRaster(data, failed=np.isnan(data).any(axis=0))
+        return PhaseRaster(np.angle(read_stack(path).data))
     with open(path) as fh:
         lines = (line for line in fh if line.strip())
         header = next(lines, "").strip()
@@ -164,7 +155,7 @@ def read_phase_raster(path) -> PhaseRaster:
         raise ValueError(f"{path}: raster grid has missing or repeated pixels")
     data = np.empty((cells.shape[1] - 2, height, width))
     data[:, rows, cols] = cells[:, 2:].T
-    return PhaseRaster(data, failed=np.isnan(data).any(axis=0))
+    return PhaseRaster(data)
 
 
 # ---------------------------------------------------------------------------

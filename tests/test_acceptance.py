@@ -25,7 +25,6 @@ from seqlink import (
     kl_cost_block,
     kl_cost_full,
     mc_mse_experiment,
-    multiblock_experiment,
     partition,
     phase_project,
     quad_form,
@@ -303,7 +302,7 @@ def test_criterion_09_chained_blocks_match_offline_bands():
         sim=SCENARIO, plugin=PluginSpec(estimator="po"), distance="frob",
         mode="multiblock", sizes=(30, 5, 5), n_grid=(64,), trials=200,
         master_seed=17)
-    rows = multiblock_experiment(cfg, THREADS)
+    rows = mc_mse_experiment(cfg, THREADS)
     by_arm = {row.mode: row for row in rows}
     pairs = (("offline", "sequential"), ("offline", "chained"),
              ("sequential", "chained"))

@@ -12,7 +12,6 @@ from seqlink import (
     PluginSpec,
     SimulationConfig,
     mc_mse_experiment,
-    multiblock_experiment,
     phase_diff_error,
     rows_to_csv,
     timing_experiment,
@@ -233,7 +232,7 @@ def test_every_bound_fits_a_leading_block_of_one_plugin_per_trial(
 
     monkeypatch.setattr(seqlink.bench, "fit", recording_fit)
     monkeypatch.setattr(seqlink.bench, "estimate", counting_estimate)
-    rows = multiblock_experiment(cfg)
+    rows = mc_mse_experiment(cfg)
     assert all(row.excluded == 0 for row in rows)
     assert estimates == [(20, 8)] * cfg.trials
     # offline (8,); sequential (6, 8); chained (3, 6, 8)
@@ -267,7 +266,7 @@ def test_fit_reads_the_trial_stack_in_place_when_no_trial_fails(monkeypatch,
 
     monkeypatch.setattr(seqlink.bench, "_raw_plugins", recording_raw_plugins)
     monkeypatch.setattr(seqlink.bench, "fit", recording_fit)
-    rows = multiblock_experiment(cfg)
+    rows = mc_mse_experiment(cfg)
     assert all(row.excluded == 0 for row in rows)
     (full,) = plugins
     assert len(fitted) == 6
@@ -320,7 +319,7 @@ def test_multiblock_truth_injection_arms_agree():
     cfg = small_cfg(sim=SimulationConfig(l=8, p=6, k=2, rho=0.9, n=32),
                     mode="multiblock", sizes=(4, 2, 2), inject_truth=True,
                     trials=2, n_grid=(16,))
-    rows = multiblock_experiment(cfg)
+    rows = mc_mse_experiment(cfg)
     assert [row.mode for row in rows] == list(MULTIBLOCK_ARMS)
     mses = [row.mse for row in rows]
     assert max(mses) <= 1e-8
@@ -332,7 +331,7 @@ def test_multiblock_runs_with_swapped_sizes():
                     mode="multiblock", sizes=(2, 4, 2), trials=4,
                     n_grid=(32,), distance="frob",
                     plugin=PluginSpec(estimator="po"))
-    rows = multiblock_experiment(cfg)
+    rows = mc_mse_experiment(cfg)
     assert len(rows) == len(MULTIBLOCK_ARMS)
     for row in rows:
         assert np.isfinite(row.mse)
@@ -344,7 +343,7 @@ def test_multiblock_failed_chained_step_excludes_the_trial_from_every_arm(
     cfg = small_cfg(sim=SimulationConfig(l=8, p=6, k=2, rho=0.9, n=32),
                     mode="multiblock", sizes=(4, 2, 2), trials=4,
                     n_grid=(32,), distance="frob")
-    assert all(row.excluded == 0 for row in multiblock_experiment(cfg))
+    assert all(row.excluded == 0 for row in mc_mse_experiment(cfg))
     fit = seqlink.bench.fit
     chained_rows = []
 
@@ -361,7 +360,7 @@ def test_multiblock_failed_chained_step_excludes_the_trial_from_every_arm(
         return batch
 
     monkeypatch.setattr(seqlink.bench, "fit", failing_fit)
-    rows = multiblock_experiment(cfg)
+    rows = mc_mse_experiment(cfg)
     assert chained_rows == list(range(cfg.trials))
     assert [(row.mode, row.excluded) for row in rows] == [
         (arm, 1) for arm in MULTIBLOCK_ARMS]
@@ -399,10 +398,10 @@ def test_kl_multiblock_csv_identical_across_thread_counts():
     cfg = small_cfg(sim=SimulationConfig(l=8, p=6, k=2, rho=0.9, n=32),
                     mode="multiblock", sizes=(4, 2, 2), trials=7,
                     n_grid=(12, 32))
-    one = rows_to_csv(multiblock_experiment(cfg, threads=1))
+    one = rows_to_csv(mc_mse_experiment(cfg, threads=1))
     assert "nan" not in one
     for threads in (2, 3):
-        assert rows_to_csv(multiblock_experiment(cfg, threads=threads)) == one
+        assert rows_to_csv(mc_mse_experiment(cfg, threads=threads)) == one
 
 
 def test_multiblock_dispatch_through_mc_mse_experiment():
@@ -412,8 +411,6 @@ def test_multiblock_dispatch_through_mc_mse_experiment():
     assert len(mc_mse_experiment(cfg)) == 3
     with pytest.raises(ValueError):
         trial_errors(cfg, 12)
-    with pytest.raises(ValueError):
-        multiblock_experiment(small_cfg())
 
 
 # ---------------------------------------------------------------------------

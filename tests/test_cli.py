@@ -1,4 +1,5 @@
-"""End-to-end command-line tests (subprocess level).
+"""End-to-end command-line tests, at subprocess level, and in process
+through cli.main where a test swaps out part of the program.
 
 Exit-code contract: 0 success, 1 runtime failure, 2 usage/validation error.
 """
@@ -10,14 +11,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import seqlink.cli
 from seqlink import (
+    MAGIC,
+    ConfigError,
     ImageStack,
+    NotPositiveDefinite,
+    SeqlinkError,
+    SimulationConfig,
+    ground_truth,
+    noiseless_raster,
     read_manifest,
     read_phase_raster,
     read_stack,
     write_stack,
 )
+from seqlink.bench import BENCH_SOLVER
 from seqlink.blas import blas_pinnable
+from seqlink.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -223,11 +234,88 @@ def test_raster_demo_script_runs_end_to_end(tmp_path, distance):
 def test_binary_raster_output_round_trips(scene):
     out = scene / "phases.slk"
     result = run_cli("solve", scene / "demo.slk", "--window", 4,
-                     "--distance", "frob", "--binary", "--out", out)
+                     "--distance", "frob", "--out", out)
     assert result.returncode == 0, result.stderr
     assert (scene / "phases.slk").read_bytes()[:8] == b"SLKSTACK"
     raster = read_phase_raster(out)
     assert raster.count == 6
+
+
+@pytest.mark.parametrize("flag", [["--binary"], ["--tol", "1e-10"]])
+def test_solve_takes_no_binary_or_tol_flag(scene, tmp_path, flag, capsys):
+    """The output format follows the --out suffix, and the stopping
+    tolerance is BENCH_SOLVER's."""
+    assert main(["solve", str(scene / "demo.slk"), "--out",
+                 str(tmp_path / "x.slk"), *flag]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".slk"])
+def test_failed_pixels_survive_the_raster_file_and_the_update_skips_them(
+        tmp_path, suffix):
+    """An offline raster over a zero region writes its failed pixels as NaN
+    in either format; read back, they are the pixels the update skips (its
+    new images hold signal everywhere)."""
+    l, p, win = 6, 4, 3
+    sigma = ground_truth(SimulationConfig(l=l, p=p, k=l - p, rho=0.9))[2]
+    full = noiseless_raster(sigma, win, 9, 9).data
+    past_data = full[:p].copy()
+    past_data[:, 6:, 6:] = 0.0
+    past_stack, new_stack = tmp_path / "past.slk", tmp_path / "new.slk"
+    write_stack(past_stack, ImageStack(past_data))
+    write_stack(new_stack, ImageStack(full[p:]))
+    past = tmp_path / f"phases{suffix}"
+    assert main(["solve", str(past_stack), "--window", str(win),
+                 "--out", str(past)]) == 0
+    assert past.read_bytes().startswith(MAGIC) == (suffix == ".slk")
+    failed = read_phase_raster(past).failed
+    assert failed[7:, 7:].all() and not failed[:5, :5].any()
+    record = read_manifest(f"{past}.manifest.txt")
+    assert record["pixels.failed"] == str(failed.sum())
+    new = tmp_path / "new.csv"
+    assert main(["solve", str(new_stack), "--mode", "sequential",
+                 "--past-phases", str(past), "--past-stack", str(past_stack),
+                 "--window", str(win), "--out", str(new)]) == 0
+    assert np.array_equal(read_phase_raster(new).failed, failed)
+    assert read_manifest(f"{new}.manifest.txt")["pixels.failed"] == str(
+        failed.sum())
+
+
+def test_solve_and_bench_manifests_record_the_solver_budget(scene, tmp_path):
+    out = tmp_path / "one.csv"
+    assert main(["solve", str(scene / "demo.slk"), "--window", "4",
+                 "--max-iters", "1", "--out", str(out)]) == 0
+    record = read_manifest(f"{out}.manifest.txt")
+    assert record["solver.max_iters"] == "1"
+    assert record["solver.tol"] == repr(BENCH_SOLVER.tol)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(BENCH_CFG.format(out=tmp_path / "b.csv")
+                   .replace("trials = 3", "trials = 1")
+                   .replace("n_grid = 8, 16", "n_grid = 8"))
+    assert main(["bench", str(cfg)]) == 0
+    record = read_manifest(tmp_path / "b.csv.manifest.txt")
+    assert record["solver.max_iters"] == str(BENCH_SOLVER.max_iters)
+    assert record["solver.tol"] == repr(BENCH_SOLVER.tol)
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError("k", "bad"), 2, "error: k: bad"),
+    (ValueError("bad value"), 2, "error: bad value"),
+    (OSError("no disk"), 2, "error: no disk"),
+    (NotPositiveDefinite("not PD"), 1, "runtime failure: not PD"),
+    (SeqlinkError("solver broke"), 1, "runtime failure: solver broke"),
+    (RuntimeError("bug"), 1, "runtime failure: bug"),
+])
+def test_exit_code_of_each_error_kind(monkeypatch, capsys, error, code, prefix):
+    """Usage and validation errors, bad values and I/O errors exit 2; any
+    other failure exits 1."""
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(seqlink.cli, "timing_experiment", fail)
+    assert main(["timing", "--p", "8", "--k", "2"]) == code
+    assert prefix in capsys.readouterr().err
 
 
 def test_bench_writes_csv_and_manifest(tmp_path):

@@ -2,14 +2,18 @@
 import numpy as np
 import pytest
 
+import seqlink.bench
 from seqlink import (
     ConfigError,
+    MMConfig,
     build_experiment,
     build_plugin,
     build_simulate_job,
     build_simulation,
+    fit,
     load_experiments,
     load_simulate_job,
+    mc_mse_experiment,
     parse_config,
     parse_regularizer_token,
 )
@@ -89,6 +93,20 @@ def test_unknown_key_is_named_in_the_error():
     assert "unknown key" in str(info.value)
 
 
+@pytest.mark.parametrize("load, key, text", [
+    (load_simulate_job, "total_phase", "l=6\np=4\nk=2\ntotal_phase=3.0\n"),
+    (load_experiments, "total_phase", "l=6\np=4\nk=2\ntotal_phase=3.0\n"),
+    (load_experiments, "solver_tol", "l=6\np=4\nk=2\nsolver_tol=1e-10\n"),
+    (load_experiments, "solver_max_iters",
+     "l=6\np=4\nk=2\n[experiment]\nsolver_max_iters=50\n"),
+])
+def test_phase_span_and_solver_budget_are_not_config_keys(load, key, text):
+    with pytest.raises(ConfigError, match=key) as info:
+        load(text)
+    assert info.value.key == key
+    assert "unknown key" in str(info.value)
+
+
 def test_rho_out_of_range_message():
     with pytest.raises(ConfigError, match="rho out of range") as info:
         build_simulation({"l": 8, "p": 6, "k": 2, "rho": 1.5})
@@ -159,7 +177,6 @@ def test_build_experiment_full_mapping():
         "l": "8", "p": "6", "k": "2", "rho": "0.9", "trials": "4",
         "n_grid": "12,24", "distance": "frob", "mode": "sequential",
         "estimator": "po", "regularizer": "taper:5", "master_seed": "3",
-        "solver_max_iters": "50", "solver_tol": "1e-10",
     })
     assert cfg.distance == "frob"
     assert cfg.mode == "sequential"
@@ -167,8 +184,6 @@ def test_build_experiment_full_mapping():
     assert cfg.trials == 4
     assert cfg.master_seed == 3
     assert cfg.plugin.label() == ("po", "taper:5")
-    assert cfg.solver.max_iters == 50
-    assert cfg.solver.tol == 1e-10
 
 
 def test_build_experiment_rejects_bad_distance_and_mode():
@@ -211,7 +226,18 @@ def test_load_experiments_with_sections():
     assert echo["experiment_1.estimator"] == "po"
 
 
-def test_solver_defaults_applied_when_unset():
-    configs, _, _ = load_experiments("l=8\np=6\nk=2\n")
-    assert configs[0].solver.max_iters == 10000
-    assert configs[0].solver.tol == 1e-14
+def test_solver_defaults_applied_when_unset(monkeypatch):
+    """A bench run fits with BENCH_SOLVER, the budget the config does not
+    set."""
+    solvers = []
+
+    def spy(sigma, cfg, distance, w_past=None):
+        solvers.append(cfg)
+        return fit(sigma, cfg, distance, w_past)
+
+    monkeypatch.setattr(seqlink.bench, "fit", spy)
+    configs, _, _ = load_experiments("l=8\np=6\nk=2\ntrials=2\nn_grid=12\n")
+    mc_mse_experiment(configs[0])
+    assert solvers and all(cfg == seqlink.bench.BENCH_SOLVER
+                           for cfg in solvers)
+    assert seqlink.bench.BENCH_SOLVER == MMConfig(max_iters=10000, tol=1e-14)

@@ -421,6 +421,31 @@ def test_window_estimates_regularize_the_whole_plugin_in_place(spec):
     assert peak(spec) <= 1.1 * peak(plain)
 
 
+@pytest.mark.parametrize("estimator", ["scm", "po"])
+@pytest.mark.parametrize("first", [0, 400])
+def test_window_estimates_taper_without_an_l_by_l_mask(estimator, first):
+    """A tapered plug-in, whole or rows first:, is the untapered one times
+    the 0/1 band mask, and costs no more memory to build than it: the mask
+    holds only the rows built, as bools."""
+    rng = np.random.default_rng(45)
+    data = heavy_tailed_stack(rng, 405, 11, 4)
+    spec = PluginSpec(estimator, "taper", bandwidth=9)
+    plain = replace(spec, regularizer="none")
+    dates = np.arange(405)
+    band = np.abs(dates[first:, None] - dates) <= 9
+    tapered = window_estimates(data, 5, 11, spec, first)
+    assert (tapered == window_estimates(data, 5, 11, plain, first) * band).all()
+
+    def peak(spec):
+        tracemalloc.start()
+        window_estimates(data, 5, 11, spec, first)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    assert peak(spec) <= 1.1 * peak(plain)
+
+
 @pytest.mark.parametrize("first", [0, 7])
 def test_window_estimates_read_a_sequence_of_stacks_as_their_dates(first):
     rng = np.random.default_rng(42)

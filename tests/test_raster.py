@@ -31,7 +31,6 @@ from seqlink import (
     solve_seq_frob,
     solve_seq_kl,
     toeplitz_coherence,
-    window_area,
     window_estimates,
     wrap_angle,
 )
@@ -110,6 +109,18 @@ def test_phase_raster_validation_and_default_masks():
         PhaseRaster(np.zeros((2, 4, 6)), iterations=np.zeros((6, 4), dtype=int))
 
 
+def test_failed_is_the_nan_mask():
+    data = np.zeros((3, 4, 5))
+    data[:, 1, 2] = np.nan
+    data[2, 3, 0] = np.nan  # one NaN date fails the pixel too
+    raster = PhaseRaster(data)
+    expected = np.zeros((4, 5), dtype=bool)
+    expected[1, 2] = expected[3, 0] = True
+    assert np.array_equal(raster.failed, expected)
+    with pytest.raises(TypeError):
+        PhaseRaster(data, failed=expected)
+
+
 def test_window_extract_single_pixel():
     rng = np.random.default_rng(91)
     data = rng.standard_normal((4, 6, 5)) + 1j * rng.standard_normal((4, 6, 5))
@@ -143,7 +154,6 @@ def test_window_extract_every_border_size_matches_enumeration():
                 rows = [r for r in range(7) if 0 <= r - (row - win // 2) < win]
                 cols = [c for c in range(9) if 0 <= c - (col - win // 2) < win]
                 n = len(rows) * len(cols)
-                assert window_area(7, 9, row, col, win) == n
                 assert sliding_window_extract(stack, row, col, win).shape == (n, 2)
 
 
@@ -488,9 +498,7 @@ def test_sequential_three_block_accumulation_matches_offline():
         new_raster = process_stack_sequential(
             new_stack, phases, past_stack, PluginSpec(), "kl", win, TIGHT)
         phases = PhaseRaster(
-            np.concatenate([phases.data, new_raster.data], axis=0),
-            failed=phases.failed | new_raster.failed,
-        )
+            np.concatenate([phases.data, new_raster.data], axis=0))
         p += k
     offline = process_stack_offline(full, PluginSpec(), "kl", win, TIGHT)
     rows, cols = interior((9, 9), win)
@@ -505,7 +513,6 @@ def test_sequential_propagates_failed_past_pixels():
     new = ImageStack(full.data[p:])
     past_raster = process_stack_offline(past, PluginSpec(), "kl", win, TIGHT)
     past_raster.data[:, 3, 3] = np.nan
-    past_raster.failed[3, 3] = True
     seq = process_stack_sequential(new, past_raster, past,
                                    PluginSpec(), "kl", win, TIGHT)
     assert seq.failed[3, 3]
