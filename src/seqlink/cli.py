@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -112,7 +113,9 @@ def _truth_metrics(raster, truth_angles, mode, win):
 def cmd_solve(args) -> int:
     threads = _at_least_one("threads", args.threads)
     _at_least_one("window", args.window)
+    start = time.perf_counter()
     stack = read_stack(args.stack)
+    read_s = time.perf_counter() - start
     spec = build_plugin({"estimator": args.estimator,
                          "regularizer": args.regularizer})
     cfg = replace(BENCH_SOLVER, max_iters=args.max_iters)
@@ -140,18 +143,25 @@ def cmd_solve(args) -> int:
         entries["input.past_stack"] = args.past_stack
     write_manifest(manifest, "solve", entries)
     if args.mode == "sequential":
+        start = time.perf_counter()
         past_raster = read_phase_raster(args.past_phases)
         past_stack = read_stack(args.past_stack)
+        read_s += time.perf_counter() - start
+        start = time.perf_counter()
         raster = process_stack_sequential(
             stack, past_raster, past_stack, spec, args.distance,
             args.window, cfg, threads)
     else:
+        start = time.perf_counter()
         raster = process_stack_offline(
             stack, spec, args.distance, args.window, cfg, threads)
+    fit_s = time.perf_counter() - start
+    start = time.perf_counter()
     if out.endswith(".slk"):
         write_phase_raster_binary(out, raster)
     else:
         write_phase_raster_csv(out, raster)
+    write_s = time.perf_counter() - start
     failed = int(raster.failed.sum())
     nonconverged = int(raster.nonconverged.sum())
     undersampled = int(raster.undersampled.sum())
@@ -170,7 +180,8 @@ def cmd_solve(args) -> int:
         truth_angles = read_truth_csv(args.truth)
         metrics.update(_truth_metrics(raster, truth_angles, args.mode,
                                       args.window))
-    metrics["status"] = "ok"
+    metrics.update({"timing.read_s": repr(read_s), "timing.fit_s": repr(fit_s),
+                    "timing.write_s": repr(write_s), "status": "ok"})
     append_manifest(manifest, metrics)
     print(f"wrote {raster.count}-phase raster to {out}")
     return 0
@@ -190,11 +201,17 @@ def cmd_bench(args) -> int:
         "output.csv": out,
     }, echo)
     rows = []
+    start = time.perf_counter()
     for cfg in configs:
         rows.extend(mc_mse_experiment(cfg, threads))
+    fit_s = time.perf_counter() - start
+    start = time.perf_counter()
     with open(out, "w") as fh:
         fh.write(rows_to_csv(rows))
-    append_manifest(manifest, {"rows": len(rows), "status": "ok"})
+    write_s = time.perf_counter() - start
+    append_manifest(manifest, {"rows": len(rows), "timing.fit_s": repr(fit_s),
+                               "timing.write_s": repr(write_s),
+                               "status": "ok"})
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 

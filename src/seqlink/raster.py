@@ -5,6 +5,7 @@ sliding-window plug-in in one pass (plugins.window_estimates), or only its
 new rows for a least-squares update, and solves all its pixels in one
 solvers.fit call, one stacked MM under either objective, given each pixel's
 past phases; an offline raster has an empty past.
+Rows run on the calling thread and threads - 1 helper threads (_run_rows).
 Pixels are independent, so the result is byte-identical for any number of
 worker threads.
 """
@@ -135,16 +136,37 @@ def sliding_window_extract(
 
 
 def _run_rows(height: int, worker, threads: int) -> None:
-    """worker(row) for every row, on `threads` worker threads, with BLAS on
-    one thread (see blas.single_blas_thread) so that they are the only
-    parallelism."""
+    """worker(row) for every row, on `threads` workers: the calling thread
+    and min(threads, height) - 1 helper threads, which take rows from one
+    shared iterator. BLAS runs on one thread (see blas.single_blas_thread),
+    so that the workers are the only parallelism.
+
+    The caller works rather than waits, so the heap it has already freed
+    serves the rows it runs (each helper thread gets its own malloc arena).
+    Rows are independent, so no result depends on which thread ran a row.
+    A row that raises stops its worker; the others finish the remaining
+    rows, and the first exception (the caller's, then the helpers' in start
+    order) is raised once every worker has stopped.
+    """
     with single_blas_thread():
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(worker, range(height)))
-        else:
-            for row in range(height):
+        # range's next() is atomic under the GIL: each row is handed out once
+        rows = iter(range(height))
+
+        def drain() -> None:
+            for row in rows:
                 worker(row)
+
+        helpers = min(threads, height) - 1
+        if helpers < 1:
+            drain()
+            return
+        # leaving the block waits for every helper, also when drain() or a
+        # result() raises
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            started = [pool.submit(drain) for _ in range(helpers)]
+            drain()
+            for future in started:
+                future.result()
 
 
 def _window_masks(signal: np.ndarray, bad: np.ndarray, win: int, depth: int):

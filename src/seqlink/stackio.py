@@ -6,6 +6,8 @@ Stack container layout (little-endian, 28-byte header):
   dtype u8 (0 = complex64, 1 = complex128) | 7 reserved zero bytes
 followed by l*height*width complex entries, interleaved (re, im), image-major
 then row-major. Writing and re-reading reproduces entries bit-exactly.
+read_stack reads the payload straight into the array it returns, so a read
+holds no second copy of the entries.
 
 A phase raster is stored either as CSV or in the stack container as unit
 phasors; read_phase_raster tells the two apart by the magic bytes. Both keep
@@ -14,6 +16,7 @@ raster.PhaseRaster.failed); the other per-pixel grids are not stored.
 """
 from __future__ import annotations
 
+import os
 import struct
 from datetime import datetime, timezone
 from itertools import chain
@@ -44,26 +47,36 @@ def write_stack(path, stack: ImageStack, dtype: str = "complex128") -> None:
 
 
 def read_stack(path) -> ImageStack:
+    """The stack in a stack file, read straight into a new array that the
+    caller owns and may write to (complex64 entries are widened).
+
+    The header is checked, and the payload size against the file size,
+    before the array is allocated.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated stack header")
-    magic, version, l, height, width, code, reserved = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: not a stack file (bad magic {magic!r})")
-    if version != STACK_VERSION:
-        raise ValueError(f"{path}: unsupported stack version {version}")
-    if code not in _CODE_DTYPES:
-        raise ValueError(f"{path}: unknown dtype code {code}")
-    if reserved != b"\x00" * 7:
-        raise ValueError(f"{path}: nonzero reserved header bytes")
-    dtype = np.dtype(_CODE_DTYPES[code]).newbyteorder("<")
-    expected = l * height * width * dtype.itemsize
-    payload = raw[_HEADER.size:]
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype=dtype).reshape(l, height, width)
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated stack header")
+        magic, version, l, height, width, code, reserved = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise ValueError(f"{path}: not a stack file (bad magic {magic!r})")
+        if version != STACK_VERSION:
+            raise ValueError(f"{path}: unsupported stack version {version}")
+        if code not in _CODE_DTYPES:
+            raise ValueError(f"{path}: unknown dtype code {code}")
+        if reserved != b"\x00" * 7:
+            raise ValueError(f"{path}: nonzero reserved header bytes")
+        dtype = np.dtype(_CODE_DTYPES[code]).newbyteorder("<")
+        expected = l * height * width * dtype.itemsize
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != expected:
+            raise ValueError(
+                f"{path}: payload holds {size} bytes, expected {expected}")
+        data = np.empty((l, height, width), dtype=dtype)
+        size = fh.readinto(data)
+        if size != expected:  # the file shrank after fstat
+            raise ValueError(
+                f"{path}: payload holds {size} bytes, expected {expected}")
     return ImageStack(data)
 
 

@@ -6,6 +6,7 @@ Exit-code contract: 0 success, 1 runtime failure, 2 usage/validation error.
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,41 @@ def test_solve_and_bench_manifests_record_the_solver_budget(scene, tmp_path):
     record = read_manifest(tmp_path / "b.csv.manifest.txt")
     assert record["solver.max_iters"] == str(BENCH_SOLVER.max_iters)
     assert record["solver.tol"] == repr(BENCH_SOLVER.tol)
+
+
+def _stage_times(manifest, keys, wall):
+    """The manifest's stage times: finite, >= 0, adding up to at most the
+    command's wall time."""
+    record = read_manifest(manifest)
+    times = [float(record[key]) for key in keys]
+    assert all(np.isfinite(t) and t >= 0 for t in times)
+    assert sum(times) <= wall
+
+
+def test_solve_manifest_times_each_stage(scene, tmp_path):
+    past = tmp_path / "past.csv"
+    assert main(["solve", str(scene / "demo.slk.past.slk"), "--window", "4",
+                 "--out", str(past)]) == 0
+    out = tmp_path / "seq.csv"
+    start = time.perf_counter()
+    assert main(["solve", str(scene / "demo.slk.new.slk"), "--window", "4",
+                 "--mode", "sequential", "--past-phases", str(past),
+                 "--past-stack", str(scene / "demo.slk.past.slk"),
+                 "--out", str(out)]) == 0
+    wall = time.perf_counter() - start
+    _stage_times(f"{out}.manifest.txt",
+                 ("timing.read_s", "timing.fit_s", "timing.write_s"), wall)
+
+
+def test_bench_manifest_times_each_stage(tmp_path):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(BENCH_CFG.format(out=tmp_path / "b.csv")
+                   .replace("trials = 3", "trials = 1"))
+    start = time.perf_counter()
+    assert main(["bench", str(cfg)]) == 0
+    wall = time.perf_counter() - start
+    _stage_times(tmp_path / "b.csv.manifest.txt",
+                 ("timing.fit_s", "timing.write_s"), wall)
 
 
 @pytest.mark.parametrize("error, code, prefix", [

@@ -1,6 +1,9 @@
 """Raster pipeline tests: window extraction against index-enumeration
 oracles, zero-noise recovery rasters, sequential/offline equivalence, thread
-invariance, and interferogram wrapping."""
+invariance, the row runner, and interferogram wrapping."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -220,6 +223,77 @@ def test_offline_raster_thread_count_does_not_change_output():
     assert np.array_equal(one.undersampled, four.undersampled)
     assert np.array_equal(one.failed, four.failed)
     assert np.array_equal(one.nonconverged, four.nonconverged)
+
+
+# ---------------------------------------------------------------------------
+# the row runner: the calling thread is one of its `threads` workers
+
+
+def rows_and_threads(height, threads):
+    """{row: [idents of the threads that ran it]} and the most threads alive
+    at once during _run_rows(height, worker, threads). Rows 0 and 1 wait for
+    each other, so they run on two different workers."""
+    ran, alive = {}, []
+    lock = threading.Lock()
+    meet = threading.Barrier(2)
+
+    def worker(row):
+        if row < 2:
+            meet.wait(timeout=10)
+        with lock:
+            ran.setdefault(row, []).append(threading.get_ident())
+            alive.append(threading.active_count())
+
+    seqlink.raster._run_rows(height, worker, threads)
+    return ran, max(alive)
+
+
+def test_rows_run_once_each_on_the_caller_and_one_helper():
+    ran, _ = rows_and_threads(8, 2)
+    assert sorted(ran) == list(range(8))
+    assert all(len(idents) == 1 for idents in ran.values())
+    workers = {idents[0] for idents in ran.values()}
+    assert threading.get_ident() in workers and len(workers) == 2
+
+
+def test_no_more_workers_start_than_there_are_rows():
+    before = threading.active_count()
+    ran, alive = rows_and_threads(2, 5)
+    assert sorted(ran) == [0, 1]
+    assert alive <= before + 1
+
+
+def test_every_row_runs_exactly_once_under_fast_thread_switching():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ran = []
+        seqlink.raster._run_rows(3000, ran.append, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(3000))
+
+
+@pytest.mark.parametrize("on_caller", [True, False])
+def test_a_raising_row_stops_its_worker_and_propagates_after_the_rest(
+        on_caller):
+    caller = threading.get_ident()
+    before = threading.active_count()
+    meet = threading.Barrier(2)
+    done = []
+
+    def worker(row):
+        if row < 2:
+            meet.wait(timeout=10)
+        if (threading.get_ident() == caller) == on_caller:
+            raise RuntimeError(f"row {row} failed")
+        done.append(row)
+
+    with pytest.raises(RuntimeError, match="row [01] failed"):
+        seqlink.raster._run_rows(6, worker, 2)
+    # the other worker ran every other row, and has stopped
+    assert len(done) == 5
+    assert threading.active_count() == before
 
 
 def random_image_stack(seed, l, height, width):

@@ -1,5 +1,6 @@
 """File-format tests: stack container, truth/raster CSVs, manifests."""
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -125,8 +126,38 @@ def test_read_stack_rejects_short_payload(tmp_path):
     write_stack(path, random_stack())
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
-    with pytest.raises(ValueError, match="payload"):
+    expected = len(raw) - 28
+    with pytest.raises(ValueError, match=f"payload holds {expected - 16} "
+                                         f"bytes, expected {expected}$"):
         read_stack(path)
+
+
+def test_read_stack_rejects_long_payload(tmp_path):
+    path = tmp_path / "pay.slk"
+    write_stack(path, random_stack())
+    raw = path.read_bytes()
+    path.write_bytes(raw + bytes(16))
+    expected = len(raw) - 28
+    with pytest.raises(ValueError, match=f"payload holds {expected + 16} "
+                                         f"bytes, expected {expected}$"):
+        read_stack(path)
+
+
+def test_read_stack_holds_one_copy_of_the_payload_and_hands_it_over(tmp_path):
+    stack = random_stack(l=40, height=64, width=60)  # 2.46 MB
+    path = tmp_path / "big.slk"
+    write_stack(path, stack)
+    payload = stack.data.nbytes
+    tracemalloc.start()
+    try:
+        back = read_stack(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * payload
+    assert np.array_equal(back.data, stack.data)
+    back.data[0, 0, 0] = 0  # writable, and no other reader sees the write
+    assert np.array_equal(read_stack(path).data, stack.data)
 
 
 def test_write_stack_rejects_unknown_dtype(tmp_path):
