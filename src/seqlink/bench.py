@@ -48,12 +48,6 @@ MULTIBLOCK_ARMS = ("offline", "sequential", "chained")
 
 CSV_HEADER = "mode,distance,estimator,regularizer,n,trials,excluded,mse,stderr"
 
-# far more iteration budget than the interactive default: Monte Carlo
-# aggregates should measure estimator error, not early stopping. The
-# spectral-fit solvers take about a hundred iterations at rho = 0.98 and
-# forty dates; the budget is headroom for badly conditioned coherences
-BENCH_SOLVER = MMConfig(max_iters=10000, tol=1e-14)
-
 # (window, width) of the row band whose plug-in timing_experiment times: a
 # raster window's rows over a few of its columns, small enough that the
 # spectral fit's l x l plug-ins stay well under 100 MB at l = 405
@@ -174,7 +168,7 @@ def _fit(cfg, sigma, w_past):
     out[:, :p] = w_past
     ok = ~np.isnan(w_past).any(axis=1)
     if ok.any():
-        out[ok, p:] = fit(sigma if ok.all() else sigma[ok], BENCH_SOLVER,
+        out[ok, p:] = fit(sigma if ok.all() else sigma[ok], MMConfig(),
                           cfg.distance, w_past[ok]).phases
     return out
 

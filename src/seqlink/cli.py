@@ -13,12 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bench import (
-    BENCH_SOLVER,
-    mc_mse_experiment,
-    rows_to_csv,
-    timing_experiment,
-)
+from .bench import mc_mse_experiment, rows_to_csv, timing_experiment
 from .blas import blas_pinnable
 from .config import build_plugin, load_experiments, load_simulate_job
 from .errors import ConfigError
@@ -31,7 +26,7 @@ from .raster import (
     wrap_angle,
 )
 from .simulate import ground_truth, sample_stack
-from .solvers import DISTANCES
+from .solvers import DISTANCES, MMConfig
 from .stackio import (
     append_manifest,
     manifest_path_for,
@@ -118,7 +113,7 @@ def cmd_solve(args) -> int:
     read_s = time.perf_counter() - start
     spec = build_plugin({"estimator": args.estimator,
                          "regularizer": args.regularizer})
-    cfg = replace(BENCH_SOLVER, max_iters=args.max_iters)
+    cfg = MMConfig(max_iters=args.max_iters)
     out = args.out or f"{args.stack}.phases.csv"
     manifest = manifest_path_for(out)
     entries = {
@@ -195,8 +190,8 @@ def cmd_bench(args) -> int:
     manifest = manifest_path_for(out)
     write_manifest(manifest, "bench", {
         "experiments": len(configs),
-        "solver.max_iters": BENCH_SOLVER.max_iters,
-        "solver.tol": repr(BENCH_SOLVER.tol),
+        "solver.max_iters": MMConfig().max_iters,
+        "solver.tol": repr(MMConfig().tol),
         "blas.pinned": "yes" if blas_pinnable() else "no",
         "output.csv": out,
     }, echo)
@@ -275,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        ".slk, else CSV")
     p_solve.add_argument("--threads", type=int, default=1)
     p_solve.add_argument("--max-iters", type=int,
-                         default=BENCH_SOLVER.max_iters)
+                         default=MMConfig().max_iters)
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run Monte Carlo MSE experiments")

@@ -159,20 +159,20 @@ def window_estimates(data, row: int, win: int, spec: PluginSpec,
 
     Equals estimate() on sliding-window samples up to summation order. One
     stacked matmul sums each column's outer products over the window rows,
-    for rows first: against all l columns and, when first > 0, for all l
-    rows against columns first:, the transposed half that the Hermitian
-    symmetrization reads. Those column terms are then summed over the window
-    columns by products with a 0/1 band matrix on their real view, one tile
-    of win output columns at a time, so the work is O((l - first) l win)
-    per pixel instead of O((l - first) l win^2) and no width x width matrix
-    is built. The sums are scaled by 0.5 / (clipped area), which gives the
-    same bits as dividing by the area and halving after the symmetrization.
+    for rows first: against all l columns. Those terms are then summed over
+    the window columns by products with a 0/1 band matrix on their real
+    view, one tile of win output columns at a time, so the work is
+    O((l - first) l win) per pixel instead of O((l - first) l win^2) and no
+    width x width matrix is built. The sums are scaled by 0.5 / (clipped
+    area), which gives the same bits as dividing by the area and halving
+    after the symmetrization.
 
-    Without a regularizer, and for `po` with any, the rows equal rows first:
-    of the whole plug-in bit for bit (with OpenBLAS as tested), but for
-    `scm`'s last diagonal entry, which BLAS may round in a different
-    partial tile. `scm` shrinkage takes the whole plug-in's trace from a box
-    sum of the window's squared moduli, which agrees to rounding.
+    The rows equal rows first: of the whole plug-in to rounding: the whole
+    plug-in adds each entry left of column first to the conjugate of its
+    transposed entry, which the rows do not hold, so the rows double it
+    instead. `scm` shrinkage takes the whole plug-in's trace from a box sum
+    of the window's squared moduli. The k x k block of new dates is exactly
+    Hermitian, as the whole plug-in is.
 
     The regularizer works in place on the output, whole plug-in or rows, so
     no second (width, l - first, l) array is built. The whole plug-in equals
@@ -201,25 +201,14 @@ def window_estimates(data, row: int, win: int, spec: PluginSpec,
             band = unit_phasors(band)
         cols[:, :, date:date + len(stack)] = band.transpose(2, 1, 0)
         date += len(stack)
-    # BLAS rounds an entry of a product the same wherever it sits, except in
-    # a partial tile at the end (and numpy multiplies a single row or column
-    # as a matrix-vector product). So the row terms start at a multiple of
-    # 16, which ends them in the same tiles as the whole plug-in's, and the
-    # column terms hold at least 8 columns, which puts their partial tile
-    # in the last row, one that is not read
-    lo = max(min(first - 1, l - 8) // 16 * 16, 0)
     conj = cols.conj()
     shrink_rows = (first > 0 and spec.regularizer == "shrink"
                    and spec.estimator == "scm")
     with single_blas_thread():
-        terms = np.matmul(cols[:, :, lo:].transpose(0, 2, 1), conj)
-        parts = [terms]
-        if first:
-            parts.append(np.matmul(cols.transpose(0, 2, 1), conj[:, :, lo:]))
-        sums = [np.empty_like(part) for part in parts]
-        pairs = [(part.view(float).reshape(width, -1),
-                  total.view(float).reshape(width, -1))
-                 for part, total in zip(parts, sums)]
+        terms = np.matmul(cols[:, :, first:].transpose(0, 2, 1), conj)
+        sigma = np.empty_like(terms)
+        sums = sigma.view(float).reshape(width, -1)
+        pairs = [(terms.view(float).reshape(width, -1), sums)]
         if shrink_rows:
             flat = cols.reshape(width, -1)
             trace = np.empty((width, 1))
@@ -232,19 +221,15 @@ def window_estimates(data, row: int, win: int, spec: PluginSpec,
             for src, dst in pairs:
                 np.matmul(ones, src[taps[0]:taps[-1] + 1], out=dst[start:stop])
     area = (r_stop[row] - r_start[row]) * (c_stop - c_start)
-    for _, dst in pairs[:len(parts)]:
-        dst *= (0.5 / area)[:, None]
+    sums *= (0.5 / area)[:, None]
     # BLAS does not guarantee exact conjugate symmetry; enforce it. Entry
-    # (i, j) adds the conjugate of entry (j, i): from the column terms where
-    # j < first, else from the row terms (which are spent, so their buffer
-    # holds the conjugate)
-    sigma = sums[0][:, first - lo:]
-    new, spent = sigma[:, :, first:], terms[:, first - lo:, first:]
+    # (i, j) of the new block adds the conjugate of entry (j, i), from the
+    # row terms (which are spent, so their buffer holds the conjugate); an
+    # entry left of column first is doubled, which is exact
+    new, spent = sigma[:, :, first:], terms[:, :, first:]
     np.conjugate(new.transpose(0, 2, 1), out=spent)
     new += spent
-    if first:
-        sigma[:, :, :first] += np.conjugate(
-            sums[1][:, :first, first - lo:].transpose(0, 2, 1))
+    sigma[:, :, :first] *= 2
     diag = np.arange(l - first)
     if spec.estimator == "po":
         sigma[:, diag, first + diag] = 1.0

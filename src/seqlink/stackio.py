@@ -96,16 +96,25 @@ def write_truth_csv(path, angles: np.ndarray) -> None:
 
 
 def read_truth_csv(path) -> np.ndarray:
+    """The angles of a truth CSV; a parse error names the file and the line
+    (blank lines are skipped but counted)."""
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != "date,angle":
-        raise ValueError(f"{path}: expected 'date,angle' header")
+        lines = [(n, line.strip()) for n, line in enumerate(fh, 1)
+                 if line.strip()]
+    n, header = lines[0] if lines else (1, "")
+    if header != "date,angle":
+        raise ValueError(f"{path}: line {n}: expected 'date,angle' header")
     angles = []
-    for line in lines[1:]:
-        date, angle = line.split(",")
-        if int(date) != len(angles):
-            raise ValueError(f"{path}: dates must be consecutive from 0")
-        angles.append(float(angle))
+    for n, line in lines[1:]:
+        try:
+            date, angle = line.split(",")
+            date, angle = int(date), float(angle)
+        except ValueError as err:
+            raise ValueError(f"{path}: line {n}: {err}") from None
+        if date != len(angles):
+            raise ValueError(
+                f"{path}: line {n}: dates must be consecutive from 0")
+        angles.append(angle)
     return np.array(angles)
 
 

@@ -18,16 +18,17 @@ from seqlink import (
     ConfigError,
     ImageStack,
     NotPositiveDefinite,
+    PluginSpec,
     SeqlinkError,
     SimulationConfig,
     ground_truth,
     noiseless_raster,
+    process_stack_offline,
     read_manifest,
     read_phase_raster,
     read_stack,
     write_stack,
 )
-from seqlink.bench import BENCH_SOLVER
 from seqlink.blas import blas_pinnable
 from seqlink.cli import main
 
@@ -159,6 +160,32 @@ def test_offline_solve_reports_small_error_on_noiseless_scene(scene):
     assert raster.count == 6
 
 
+def test_solve_fits_with_the_library_default_budget(tmp_path):
+    """A default-budget offline KL raster of a noisy stack is the `seqlink
+    solve` raster of that stack: MMConfig() is the budget solve fits with."""
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CFG.format(out=tmp_path / "noisy.slk")
+                   .replace("noiseless = true", "noiseless = false"))
+    assert main(["simulate", str(cfg)]) == 0
+    out = tmp_path / "phases.csv"
+    assert main(["solve", str(tmp_path / "noisy.slk"), "--window", "4",
+                 "--out", str(out)]) == 0
+    raster = process_stack_offline(read_stack(tmp_path / "noisy.slk"),
+                                   PluginSpec(), "kl", 4)
+    assert np.array_equal(read_phase_raster(out).data, raster.data,
+                          equal_nan=True)
+
+
+def test_solve_with_a_malformed_truth_csv_exits_2_naming_the_line(
+        scene, tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("date,angle\n0,0.0\n1,abc\n")
+    assert main(["solve", str(scene / "demo.slk"), "--window", "4",
+                 "--max-iters", "1", "--truth", str(truth),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"{truth}: line 3: " in capsys.readouterr().err
+
+
 def test_sequential_solve_from_prior_offline_run(scene):
     past_out = scene / "past.csv"
     result = run_cli("solve", scene / "demo.slk.past.slk",
@@ -245,7 +272,7 @@ def test_binary_raster_output_round_trips(scene):
 @pytest.mark.parametrize("flag", [["--binary"], ["--tol", "1e-10"]])
 def test_solve_takes_no_binary_or_tol_flag(scene, tmp_path, flag, capsys):
     """The output format follows the --out suffix, and the stopping
-    tolerance is BENCH_SOLVER's."""
+    tolerance is MMConfig()'s."""
     assert main(["solve", str(scene / "demo.slk"), "--out",
                  str(tmp_path / "x.slk"), *flag]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
@@ -289,15 +316,15 @@ def test_solve_and_bench_manifests_record_the_solver_budget(scene, tmp_path):
                  "--max-iters", "1", "--out", str(out)]) == 0
     record = read_manifest(f"{out}.manifest.txt")
     assert record["solver.max_iters"] == "1"
-    assert record["solver.tol"] == repr(BENCH_SOLVER.tol)
+    assert record["solver.tol"] == "1e-14"
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(BENCH_CFG.format(out=tmp_path / "b.csv")
                    .replace("trials = 3", "trials = 1")
                    .replace("n_grid = 8, 16", "n_grid = 8"))
     assert main(["bench", str(cfg)]) == 0
     record = read_manifest(tmp_path / "b.csv.manifest.txt")
-    assert record["solver.max_iters"] == str(BENCH_SOLVER.max_iters)
-    assert record["solver.tol"] == repr(BENCH_SOLVER.tol)
+    assert record["solver.max_iters"] == "10000"
+    assert record["solver.tol"] == "1e-14"
 
 
 def _stage_times(manifest, keys, wall):

@@ -227,8 +227,8 @@ def test_load_experiments_with_sections():
 
 
 def test_solver_defaults_applied_when_unset(monkeypatch):
-    """A bench run fits with BENCH_SOLVER, the budget the config does not
-    set."""
+    """A bench run fits with MMConfig(), whose budget the config does not
+    set: 10000 iterations at tol 1e-14."""
     solvers = []
 
     def spy(sigma, cfg, distance, w_past=None):
@@ -238,6 +238,5 @@ def test_solver_defaults_applied_when_unset(monkeypatch):
     monkeypatch.setattr(seqlink.bench, "fit", spy)
     configs, _, _ = load_experiments("l=8\np=6\nk=2\ntrials=2\nn_grid=12\n")
     mc_mse_experiment(configs[0])
-    assert solvers and all(cfg == seqlink.bench.BENCH_SOLVER
-                           for cfg in solvers)
-    assert seqlink.bench.BENCH_SOLVER == MMConfig(max_iters=10000, tol=1e-14)
+    assert solvers and all(cfg == MMConfig() for cfg in solvers)
+    assert (MMConfig().max_iters, MMConfig().tol) == (10000, 1e-14)

@@ -373,11 +373,10 @@ def heavy_tailed_stack(rng, l, height, width):
 @pytest.mark.parametrize("l, height, width, win", ROW_SHAPES)
 def test_window_estimate_rows_are_the_whole_plugins_rows(spec, l, height,
                                                          width, win):
-    """Rows first: equal rows first: of the whole plug-in: bit for bit for
-    po, and for scm with no regularizer or a taper but for the last diagonal
-    entry (whose BLAS tile can round differently); to rounding with scm
-    shrinkage, whose trace is summed apart. Border and interior rows, one
-    and several new dates."""
+    """Rows first: equal rows first: of the whole plug-in to rounding, for
+    either estimator and every regularizer; their k x k block of new dates
+    is exactly Hermitian, with po's unregularized diagonal exactly 1.
+    Border and interior rows, one and several new dates."""
     rng = np.random.default_rng(40)
     data = heavy_tailed_stack(rng, l, height, width)
     for row in sorted({0, height // 2, height - 1}):
@@ -387,14 +386,12 @@ def test_window_estimate_rows_are_the_whole_plugins_rows(spec, l, height,
             rows = window_estimates(data, row, win, spec, first)
             expected = whole[:, first:]
             assert rows.shape == (width, k, l)
-            if spec.estimator == "po":
-                assert np.array_equal(rows, expected)
-                continue
             gap = np.abs(rows - expected)
-            assert np.max(gap) <= 1e-15 * np.max(np.abs(expected))
-            if spec.regularizer != "shrink":
-                gap[:, -1, -1] = 0.0
-                assert not gap.any(), (row, k)
+            assert np.max(gap) <= 1e-15 * np.max(np.abs(expected)), (row, k)
+            new = rows[:, :, first:]
+            assert np.array_equal(new, new.conj().transpose(0, 2, 1))
+            if spec.estimator == "po" and spec.regularizer == "none":
+                assert (np.diagonal(new, axis1=1, axis2=2) == 1).all()
 
 
 @pytest.mark.parametrize("spec", [

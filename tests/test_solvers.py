@@ -31,7 +31,6 @@ from seqlink import (
     solve_seq_kl,
 )
 import seqlink.solvers
-from seqlink.bench import BENCH_SOLVER
 from seqlink.solvers import frob_seq_terms, kl_seq_terms
 
 
@@ -441,7 +440,7 @@ def test_accelerated_kl_descends_over_long_runs(spec):
     seq_runs = [MMConfig(max_iters=3000, tol=0.0, init=init)
                 for init in (None, random_torus(rng, l - p))]
     for past_sigma, sigma in scenario_plugins(spec, 2):
-        w_past = solve_offline_kl(past_sigma, BENCH_SOLVER).phases
+        w_past = solve_offline_kl(past_sigma, MMConfig()).phases
         blocks, factors = seq_inputs(sigma, p)
         reports = ([solve_offline_kl(sigma, cfg) for cfg in runs]
                    + [solve_seq_kl(blocks, factors, w_past, cfg)
@@ -457,14 +456,14 @@ def test_accelerated_kl_descends_over_long_runs(spec):
                          ids=["scm", "shrink0.5"])
 def test_fast_kl_reaches_plain_mm_cost(spec):
     for past_sigma, sigma in scenario_plugins(spec, 2):
-        offline = solve_offline_kl(sigma, BENCH_SOLVER)
+        offline = solve_offline_kl(sigma, MMConfig())
         got = kl_cost_full(offline.phases, sigma)
         want = plain_mm_kl(sigma)
         assert got <= want + 1e-8 * abs(want)
 
-        w_past = solve_offline_kl(past_sigma, BENCH_SOLVER).phases
+        w_past = solve_offline_kl(past_sigma, MMConfig()).phases
         blocks, factors = seq_inputs(sigma, SCENARIO.p)
-        seq = solve_seq_kl(blocks, factors, w_past, BENCH_SOLVER)
+        seq = solve_seq_kl(blocks, factors, w_past, MMConfig())
         got = kl_cost_full(np.concatenate([w_past, seq.phases]), sigma)
         want = plain_mm_kl(sigma, w_past)
         assert got <= want + 1e-8 * abs(want)
@@ -473,10 +472,10 @@ def test_fast_kl_reaches_plain_mm_cost(spec):
 def test_fast_kl_iteration_counts_stay_low():
     offline_iters, seq_iters = [], []
     for past_sigma, sigma in scenario_plugins(PluginSpec(), 20):
-        past = solve_offline_kl(past_sigma, BENCH_SOLVER)
-        full = solve_offline_kl(sigma, BENCH_SOLVER)
+        past = solve_offline_kl(past_sigma, MMConfig())
+        full = solve_offline_kl(sigma, MMConfig())
         blocks, factors = seq_inputs(sigma, SCENARIO.p)
-        seq = solve_seq_kl(blocks, factors, past.phases, BENCH_SOLVER)
+        seq = solve_seq_kl(blocks, factors, past.phases, MMConfig())
         assert past.converged and full.converged and seq.converged
         offline_iters += [past.iterations, full.iterations]
         seq_iters.append(seq.iterations)
@@ -937,7 +936,7 @@ def test_kl_update_inverts_nothing_wider_than_the_new_block(monkeypatch):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", spy)
-    batch = fit(sigma, BENCH_SOLVER, "kl", w_past)
+    batch = fit(sigma, MMConfig(), "kl", w_past)
     assert batch.converged.all()
     assert widths and max(widths) <= l - p
 
@@ -951,6 +950,6 @@ def test_kl_update_never_forms_the_past_corner_of_the_inverse(monkeypatch):
     l, p, count = 9, 6, 5
     sigma = np.array([scm(random_stack(rng, 3 * l, l)) for _ in range(count)])
     w_past = np.array([random_torus(rng, p) for _ in range(count)])
-    batch = fit(sigma, BENCH_SOLVER, "kl", w_past)
+    batch = fit(sigma, MMConfig(), "kl", w_past)
     assert batch.phases.shape == (count, l - p)
     assert batch.converged.all()

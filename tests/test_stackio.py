@@ -194,8 +194,19 @@ def test_truth_csv_rejects_bad_header(tmp_path):
 def test_truth_csv_rejects_gapped_dates(tmp_path):
     path = tmp_path / "gap.csv"
     path.write_text("date,angle\n0,0.0\n2,0.5\n")
-    with pytest.raises(ValueError, match="consecutive"):
+    with pytest.raises(ValueError, match="line 3: dates must be consecutive"):
         read_truth_csv(path)
+
+
+@pytest.mark.parametrize("line", ["1,0.5,7", "1,abc"])
+def test_truth_csv_parse_errors_name_the_file_and_line(tmp_path, line):
+    """A line with three fields or a bad angle raises ValueError naming the
+    path and the line number, which counts blank lines."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"date,angle\n0,0.0\n\n{line}\n")
+    with pytest.raises(ValueError) as err:
+        read_truth_csv(path)
+    assert str(err.value).startswith(f"{path}: line 4: ")
 
 
 # ---------------------------------------------------------------------------
