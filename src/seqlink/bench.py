@@ -24,6 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from .blas import single_blas_thread
+from .errors import ConfigError
 from .linalg import abs_entrywise, partition, schur_factors
 from .plugins import PluginSpec, estimate, regularize, scm, window_estimates
 from .raster import _run_rows
@@ -71,29 +72,29 @@ class ExperimentConfig:
     def __post_init__(self):
         check_distance(self.distance)
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ConfigError("mode", f"unknown mode {self.mode!r}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ConfigError("trials", "trials must be >= 1")
         if len(self.n_grid) == 0:
-            raise ValueError("n_grid must be non-empty")
+            raise ConfigError("n_grid", "n_grid must be non-empty")
         if any(n < 1 for n in self.n_grid):
-            raise ValueError("sample sizes must be >= 1")
+            raise ConfigError("n_grid", "sample sizes must be >= 1")
         if self.mode == "multiblock":
             if self.sizes is None or len(self.sizes) < 2:
-                raise ValueError("multiblock mode needs at least two block sizes")
+                raise ConfigError("sizes", "multiblock mode needs at least two block sizes")
             if any(s < 1 for s in self.sizes):
-                raise ValueError("block sizes must be >= 1")
+                raise ConfigError("sizes", "block sizes must be >= 1")
             if sum(self.sizes) != self.sim.l:
-                raise ValueError(
-                    f"block sizes {self.sizes} sum to {sum(self.sizes)}, "
-                    f"expected l = {self.sim.l}")
+                raise ConfigError("sizes", f"block sizes {self.sizes} sum to "
+                                           f"{sum(self.sizes)}, expected l = {self.sim.l}")
         elif self.sizes is not None:
-            raise ValueError("sizes only applies to multiblock mode")
+            raise ConfigError("sizes", "sizes only applies to multiblock mode")
 
 
 @dataclass(frozen=True)
 class MseRow:
-    """One aggregated CSV row of an MSE experiment."""
+    """One aggregated CSV row of an MSE experiment; nonconverged (not in the
+    CSV) counts its kept trials with a fit that hit the iteration budget."""
 
     mode: str
     distance: str
@@ -104,6 +105,7 @@ class MseRow:
     excluded: int
     mse: float
     stderr: float
+    nonconverged: int = 0
 
     def __post_init__(self):
         if self.mse < 0 or self.stderr < 0:
@@ -160,17 +162,20 @@ def _raw_plugins(cfg, sigma_true, root, sim, trials):
 def _fit(cfg, sigma, w_past):
     """Each row of a (T, d, d) plug-in stack fitted given its (T, p) past
     phases (see solvers.fit): its past phases then the new ones, or NaN where
-    a solve failed or the past holds NaN. fit never writes sigma, so it
-    reads sigma itself (say, a view of the trials' whole plug-ins) when
-    every past is usable, and a copy of the usable rows otherwise."""
+    a solve failed or the past holds NaN; and a (T,) mask of the rows whose
+    fit ran without converging. fit never writes sigma, so it reads sigma
+    itself (say, a view of the trials' whole plug-ins) when every past is
+    usable, and a copy of the usable rows otherwise."""
     p = w_past.shape[-1]
     out = np.full((len(sigma), sigma.shape[-1]), np.nan, dtype=complex)
     out[:, :p] = w_past
+    stalled = np.zeros(len(sigma), dtype=bool)
     ok = ~np.isnan(w_past).any(axis=1)
     if ok.any():
-        out[ok, p:] = fit(sigma if ok.all() else sigma[ok], MMConfig(),
-                          cfg.distance, w_past[ok]).phases
-    return out
+        batch = fit(sigma if ok.all() else sigma[ok], MMConfig(),
+                    cfg.distance, w_past[ok])
+        out[ok, p:], stalled[ok] = batch.phases, ~batch.converged
+    return out, stalled
 
 
 def _arms(cfg: ExperimentConfig):
@@ -217,15 +222,17 @@ def _scored_errors(theta_hat: np.ndarray, w_true: np.ndarray,
 
 
 def _arm_errors(cfg: ExperimentConfig, n: int, threads: int) -> dict:
-    """Per arm of the mode, the per-trial errors at one sample size. All arms
-    share each trial's draw, and a trial that fails in any arm is excluded
-    (NaN) from every arm."""
+    """Per arm of the mode, the per-trial errors at one sample size and the
+    mask of kept trials with a fit in the arm's chain that did not converge.
+    All arms share each trial's draw, and a trial that fails in any arm is
+    excluded (NaN) from every arm."""
     arms, first = _arms(cfg)
     sim = replace(cfg.sim, n=n)
     _, w_true, sigma_true = ground_truth(cfg.sim)
     # one factorization serves every trial's draw
     root = None if cfg.inject_truth else matrix_sqrt(sigma_true)
     errors = {arm: np.full(cfg.trials, np.nan) for arm in arms}
+    stalled = {arm: np.zeros(cfg.trials, dtype=bool) for arm in arms}
     # contiguous chunks of the trial indices, one per worker thread
     chunks = [chunk for chunk in np.array_split(np.arange(cfg.trials), threads)
               if chunk.size]
@@ -233,22 +240,24 @@ def _arm_errors(cfg: ExperimentConfig, n: int, threads: int) -> dict:
     def worker(index: int) -> None:
         trials = chunks[index]
         full = _raw_plugins(cfg, sigma_true, root, sim, trials)
-        theta_hat = {}
+        fits = {}
         for arm, chain in arms.items():
-            phases = np.ones((len(trials), 0))  # the empty past: offline
+            phases, any_stalled = np.ones((len(trials), 0)), False  # offline
             for bound in chain:
                 sigma = full[:, :bound, :bound]
-                phases = _fit(cfg, sigma if cfg.inject_truth
-                              else regularize(sigma, cfg.plugin), phases)
-            theta_hat[arm] = phases
+                phases, link_stalled = _fit(cfg, sigma if cfg.inject_truth
+                                            else regularize(sigma, cfg.plugin), phases)
+                any_stalled = any_stalled | link_stalled
+            fits[arm] = phases, any_stalled
         kept = ~np.any([np.isnan(rows).any(axis=1)
-                        for rows in theta_hat.values()], axis=0)
-        for arm, rows in theta_hat.items():
+                        for rows, _ in fits.values()], axis=0)
+        for arm, (rows, any_stalled) in fits.items():
             errors[arm][trials[kept]] = _scored_errors(rows[kept], w_true,
                                                        first)
+            stalled[arm][trials[kept]] = any_stalled[kept]
 
     _run_rows(len(chunks), worker, threads)
-    return errors
+    return {arm: (errors[arm], stalled[arm]) for arm in arms}
 
 
 def trial_errors(cfg: ExperimentConfig, n: int, threads: int = 1) -> np.ndarray:
@@ -256,12 +265,12 @@ def trial_errors(cfg: ExperimentConfig, n: int, threads: int = 1) -> np.ndarray:
     trials); offline/sequential measure the first-to-last phase difference."""
     if cfg.mode == "multiblock":
         raise ValueError("use mc_mse_experiment for multiblock configs")
-    (errors,) = _arm_errors(cfg, n, threads).values()
+    ((errors, _),) = _arm_errors(cfg, n, threads).values()
     return errors
 
 
 def _aggregate(cfg: ExperimentConfig, mode_label: str, n: int,
-               errors: np.ndarray) -> MseRow:
+               errors: np.ndarray, nonconverged: int = 0) -> MseRow:
     kept = errors[~np.isnan(errors)]
     excluded = int(cfg.trials - kept.size)
     if kept.size == 0:
@@ -273,15 +282,16 @@ def _aggregate(cfg: ExperimentConfig, mode_label: str, n: int,
     estimator, regularizer = cfg.plugin.label()
     return MseRow(mode=mode_label, distance=cfg.distance, estimator=estimator,
                   regularizer=regularizer, n=n, trials=cfg.trials,
-                  excluded=excluded, mse=mse, stderr=stderr)
+                  excluded=excluded, mse=mse, stderr=stderr,
+                  nonconverged=nonconverged)
 
 
 def mc_mse_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[MseRow]:
     """MSE rows over cfg.n_grid (sorted ascending): one per sample size and
     arm of the mode (see _arms), the arms in order within each size."""
-    return [_aggregate(cfg, arm, n, errors)
+    return [_aggregate(cfg, arm, n, errors, int(stalled.sum()))
             for n in sorted(cfg.n_grid)
-            for arm, errors in _arm_errors(cfg, n, threads).items()]
+            for arm, (errors, stalled) in _arm_errors(cfg, n, threads).items()]
 
 
 def timing_experiment(

@@ -204,7 +204,12 @@ def cmd_bench(args) -> int:
     with open(out, "w") as fh:
         fh.write(rows_to_csv(rows))
     write_s = time.perf_counter() - start
-    append_manifest(manifest, {"rows": len(rows), "timing.fit_s": repr(fit_s),
+    nonconverged = sum(row.nonconverged for row in rows)
+    if nonconverged:
+        print(f"{nonconverged} kept trials had a fit that did not converge",
+              file=sys.stderr)
+    append_manifest(manifest, {"rows": len(rows), "fits.nonconverged": nonconverged,
+                               "timing.fit_s": repr(fit_s),
                                "timing.write_s": repr(write_s),
                                "status": "ok"})
     print(f"wrote {len(rows)} rows to {out}")
@@ -301,7 +306,7 @@ def main(argv=None) -> int:
         return int(code) if code else 0
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

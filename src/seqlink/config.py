@@ -5,29 +5,35 @@ trailing); blank lines ignored. A line of `[experiment]` opens a new
 experiment section; keys above the first section are shared defaults that
 every section inherits and may override. Files with no sections describe a
 single job from the top-level keys alone.
+
+This module parses, types and routes keys: it refuses an unknown key or a
+value of the wrong type, and splits regularizer tokens. Each value's range
+or choice is checked once, by the dataclass that holds it (or
+solvers.check_distance), which raises ConfigError naming the setting.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bench import MODES, ExperimentConfig
+from .bench import ExperimentConfig
 from .errors import ConfigError
-from .plugins import ESTIMATORS, PluginSpec
-from .simulate import DISTRIBUTIONS, SimulationConfig
-from .solvers import DISTANCES
+from .plugins import PluginSpec
+from .simulate import SimulationConfig
 
 _INT_KEYS = frozenset({
-    "l", "p", "k", "n", "seed", "height", "width", "window", "trials",
+    "l", "p", "k", "seed", "height", "width", "window", "trials",
     "master_seed",
 })
 _FLOAT_KEYS = frozenset({"rho", "nu"})
 _BOOL_KEYS = frozenset({"noiseless", "inject_truth"})
 _INT_LIST_KEYS = frozenset({"n_grid", "sizes"})
 
-_SIM_KEYS = frozenset({"l", "p", "k", "rho", "nu", "distribution", "n",
-                       "seed"})
+# n is no key: simulate draws one sample per pixel and the bench each size
+# of n_grid; seed is a simulate-job key, since bench trials draw from
+# master_seed alone
+_SIM_KEYS = frozenset({"l", "p", "k", "rho", "nu", "distribution"})
 SIMULATE_KEYS = _SIM_KEYS | frozenset({
-    "height", "width", "noiseless", "window", "out", "truth_out"})
+    "seed", "height", "width", "noiseless", "window", "out", "truth_out"})
 EXPERIMENT_KEYS = _SIM_KEYS | frozenset({
     "estimator", "regularizer", "distance", "mode", "sizes", "n_grid",
     "trials", "master_seed", "inject_truth", "out",
@@ -58,8 +64,11 @@ def parse_config(text: str):
     return defaults, sections
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw: str, kind=None):
+    """raw as key's type, or as kind if given; ConfigError(key) if it is not."""
     try:
+        if kind is not None:
+            return kind(raw)
         if key in _INT_KEYS:
             return int(raw)
         if key in _FLOAT_KEYS:
@@ -88,18 +97,8 @@ def _typed(mapping: dict[str, str], allowed: frozenset) -> dict:
 
 
 def build_simulation(values: dict) -> SimulationConfig:
-    if "rho" in values and not 0.0 < values["rho"] < 1.0:
-        raise ConfigError("rho", "rho out of range")
-    if "nu" in values and values["nu"] <= 0.0:
-        raise ConfigError("nu", "nu out of range")
-    if "distribution" in values and values["distribution"] not in DISTRIBUTIONS:
-        raise ConfigError("distribution",
-                          f"must be one of {', '.join(DISTRIBUTIONS)}")
-    sim_values = {key: values[key] for key in _SIM_KEYS if key in values}
-    try:
-        return SimulationConfig(**sim_values)
-    except ValueError as exc:
-        raise ConfigError("simulation", str(exc)) from None
+    return SimulationConfig(**{key: values[key] for key in _SIM_KEYS | {"seed"}
+                               if key in values})
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,8 @@ class SimulateJob:
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
-            raise ConfigError("height", "raster dims must be >= 1")
+            raise ConfigError("height" if self.height < 1 else "width",
+                              "raster dims must be >= 1")
         if self.window < 1:
             raise ConfigError("window", "window must be >= 1")
         if not self.truth_out:
@@ -136,61 +136,29 @@ def parse_regularizer_token(token: str) -> dict:
     """Split a regularizer token (none | shrink[:BETA] | taper[:B]) into
     PluginSpec keyword arguments."""
     name, _, arg = token.partition(":")
+    PluginSpec(regularizer=name)  # refuses an unknown name
+    if not arg:
+        return {"regularizer": name}
     if name == "none":
-        if arg:
-            raise ConfigError("regularizer", "none takes no parameter")
-        return {"regularizer": "none"}
-    if name == "shrink":
-        out = {"regularizer": "shrink"}
-        if arg:
-            try:
-                out["beta"] = float(arg)
-            except ValueError:
-                raise ConfigError("regularizer",
-                                  f"bad shrink weight {arg!r}") from None
-        return out
-    if name == "taper":
-        out = {"regularizer": "taper"}
-        if arg:
-            try:
-                out["bandwidth"] = int(arg)
-            except ValueError:
-                raise ConfigError("regularizer",
-                                  f"bad taper bandwidth {arg!r}") from None
-        return out
-    raise ConfigError("regularizer", f"unknown regularizer {name!r}")
+        raise ConfigError("regularizer", "none takes no parameter")
+    field, kind = ("beta", float) if name == "shrink" else ("bandwidth", int)
+    return {"regularizer": name, field: _coerce("regularizer", arg, kind)}
 
 
 def build_plugin(values: dict) -> PluginSpec:
-    kwargs = {}
-    if "estimator" in values:
-        if values["estimator"] not in ESTIMATORS:
-            raise ConfigError("estimator",
-                              f"must be one of {', '.join(ESTIMATORS)}")
-        kwargs["estimator"] = values["estimator"]
+    kwargs = {"estimator": values["estimator"]} if "estimator" in values else {}
     if "regularizer" in values:
         kwargs.update(parse_regularizer_token(values["regularizer"]))
-    try:
-        return PluginSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("regularizer", str(exc)) from None
+    return PluginSpec(**kwargs)
 
 
 def build_experiment(mapping: dict[str, str]) -> ExperimentConfig:
     values = _typed(mapping, EXPERIMENT_KEYS)
-    sim = build_simulation(values)
-    plugin = build_plugin(values)
-    if "distance" in values and values["distance"] not in DISTANCES:
-        raise ConfigError("distance", f"must be one of {', '.join(DISTANCES)}")
-    if "mode" in values and values["mode"] not in MODES:
-        raise ConfigError("mode", f"must be one of {', '.join(MODES)}")
     kwargs = {key: values[key] for key in
               ("distance", "mode", "sizes", "n_grid", "trials", "master_seed",
                "inject_truth") if key in values}
-    try:
-        return ExperimentConfig(sim=sim, plugin=plugin, **kwargs)
-    except ValueError as exc:
-        raise ConfigError("experiment", str(exc)) from None
+    return ExperimentConfig(sim=build_simulation(values),
+                            plugin=build_plugin(values), **kwargs)
 
 
 def load_experiments(text: str):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import single_blas_thread
+from .errors import ConfigError
 
 ESTIMATORS = ("scm", "po")
 REGULARIZERS = ("none", "shrink", "taper")
@@ -33,13 +34,13 @@ class PluginSpec:
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+            raise ConfigError("estimator", f"unknown estimator {self.estimator!r}")
         if self.regularizer not in REGULARIZERS:
-            raise ValueError(f"unknown regularizer {self.regularizer!r}")
+            raise ConfigError("regularizer", f"unknown regularizer {self.regularizer!r}")
         if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+            raise ConfigError("beta", f"beta must be in [0, 1], got {self.beta}")
         if self.bandwidth < 0:
-            raise ValueError(f"bandwidth must be >= 0, got {self.bandwidth}")
+            raise ConfigError("bandwidth", f"bandwidth must be >= 0, got {self.bandwidth}")
 
     def label(self) -> tuple[str, str]:
         """(estimator, regularizer) labels for CSV output."""

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
+from .errors import ConfigError, NotPositiveDefinite
 from .linalg import DEFAULT_JITTER, hermitize, jittered_cholesky
 from .plugins import unit_phasors
 
@@ -32,18 +32,19 @@ class SimulationConfig:
 
     def __post_init__(self):
         if self.p < 1 or self.k < 1:
-            raise ValueError(f"p = {self.p} and k = {self.k} must both be >= 1")
+            raise ConfigError("p" if self.p < 1 else "k",
+                              f"p = {self.p} and k = {self.k} must both be >= 1")
         if self.p + self.k != self.l:
-            raise ValueError(f"p + k = {self.p + self.k} must equal l = {self.l}")
+            raise ConfigError("l", f"p + k = {self.p + self.k} must equal l = {self.l}")
         if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
+            raise ConfigError("rho", "rho out of range, must lie in (0, 1)")
         if self.nu <= 0.0:
-            raise ValueError("nu must be > 0")
+            raise ConfigError("nu", "nu must be > 0")
         if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(
-                f"unknown distribution {self.distribution!r}; choose from {DISTRIBUTIONS}")
+            raise ConfigError("distribution", f"unknown distribution "
+                              f"{self.distribution!r}; choose from {DISTRIBUTIONS}")
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise ConfigError("n", "n must be >= 1")
 
 
 def toeplitz_coherence(l: int, rho: float) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import quad_form
-from .errors import SeqlinkError
+from .errors import ConfigError, SeqlinkError
 from .linalg import (
     DEFAULT_JITTER,
     BlockCov,
@@ -52,9 +52,10 @@ DISTANCES = ("kl", "frob")
 
 
 def check_distance(distance: str) -> None:
-    """Raise ValueError unless distance is one of DISTANCES."""
+    """Raise ConfigError unless distance is one of DISTANCES."""
     if distance not in DISTANCES:
-        raise ValueError(f"unknown distance {distance!r}; choose from {DISTANCES}")
+        raise ConfigError("distance",
+                          f"unknown distance {distance!r}; choose from {DISTANCES}")
 
 
 def first_fitted_row(distance: str, p: int) -> int:
@@ -84,9 +85,9 @@ class MMConfig:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ConfigError("max_iters", "max_iters must be >= 1")
         if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+            raise ConfigError("tol", "tol must be >= 0")
 
     def start_vector(self, dim: int) -> np.ndarray:
         if self.init is None:

@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .raster import ImageStack, PhaseRaster
+from .raster import ImageStack, PhaseRaster, wrap_angle
 
 MAGIC = b"SLKSTACK"
 STACK_VERSION = 1
@@ -86,8 +86,6 @@ def read_stack(path) -> ImageStack:
 
 def write_truth_csv(path, angles: np.ndarray) -> None:
     """Per-date true phase angles (radians, wrapped on write)."""
-    from .raster import wrap_angle
-
     lines = ["date,angle"]
     for date, angle in enumerate(np.asarray(angles, dtype=float)):
         lines.append(f"{date},{float(wrap_angle(angle))!r}")

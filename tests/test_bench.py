@@ -18,6 +18,9 @@ from seqlink import (
     trial_errors,
 )
 from seqlink.bench import _aggregate, _scored_errors
+from seqlink.cli import main
+from seqlink.solvers import MMConfig
+from seqlink.stackio import read_manifest
 
 
 def small_cfg(**overrides):
@@ -126,6 +129,34 @@ def test_aggregate_counts_exclusions_and_uses_sample_stderr():
     assert all_bad.stderr == 0.0
     single = _aggregate(small_cfg(trials=1), "offline", 24, np.array([0.4]))
     assert single.stderr == 0.0
+
+
+def test_fits_that_hit_their_budget_are_counted(monkeypatch, tmp_path,
+                                                capsys):
+    """A kept trial whose fit in any link of the arm's chain stopped at its
+    iteration budget counts in the row's nonconverged, which the CSV leaves
+    out; the bench command's manifest and stderr report the sum."""
+    cfg = small_cfg(mode="sequential", n_grid=(24,))
+    assert all(row.nonconverged == 0 for row in mc_mse_experiment(cfg))
+    config = tmp_path / "bench.cfg"
+    config.write_text("l=6\np=4\nk=2\nrho=0.9\ntrials=8\nn_grid=24\n"
+                      "mode=sequential\n")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(config), "--out", str(out)]) == 0
+    assert read_manifest(f"{out}.manifest.txt")["fits.nonconverged"] == "0"
+
+    monkeypatch.setattr(seqlink.bench, "MMConfig",
+                        lambda: MMConfig(max_iters=1))
+    rows = mc_mse_experiment(cfg)
+    assert all(0 < row.nonconverged <= row.trials - row.excluded
+               for row in rows)
+    assert all(row.csv_line().count(",") == CSV_HEADER.count(",")
+               for row in rows)
+    capsys.readouterr()
+    assert main(["bench", str(config), "--out", str(out)]) == 0
+    count = read_manifest(f"{out}.manifest.txt")["fits.nonconverged"]
+    assert int(count) > 0
+    assert f"{count} kept trials had a fit" in capsys.readouterr().err
 
 
 def test_mse_row_csv_line_and_header():

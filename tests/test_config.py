@@ -5,7 +5,11 @@ import pytest
 import seqlink.bench
 from seqlink import (
     ConfigError,
+    ExperimentConfig,
     MMConfig,
+    PluginSpec,
+    SimulateJob,
+    SimulationConfig,
     build_experiment,
     build_plugin,
     build_simulate_job,
@@ -17,6 +21,7 @@ from seqlink import (
     parse_config,
     parse_regularizer_token,
 )
+from seqlink.solvers import check_distance
 
 SIM_TEXT = """
 # synthetic scene
@@ -99,6 +104,9 @@ def test_unknown_key_is_named_in_the_error():
     (load_experiments, "solver_tol", "l=6\np=4\nk=2\nsolver_tol=1e-10\n"),
     (load_experiments, "solver_max_iters",
      "l=6\np=4\nk=2\n[experiment]\nsolver_max_iters=50\n"),
+    (load_simulate_job, "n", "l=6\np=4\nk=2\nn=128\n"),
+    (load_experiments, "n", "l=6\np=4\nk=2\nn=128\n"),
+    (load_experiments, "seed", "l=6\np=4\nk=2\n[experiment]\nseed=3\n"),
 ])
 def test_phase_span_and_solver_budget_are_not_config_keys(load, key, text):
     with pytest.raises(ConfigError, match=key) as info:
@@ -125,8 +133,49 @@ def test_nu_must_be_positive():
 
 
 def test_block_sizes_must_sum():
-    with pytest.raises(ConfigError, match="simulation"):
+    with pytest.raises(ConfigError, match="l: p \\+ k = 6") as info:
         build_simulation({"l": 8, "p": 4, "k": 2})
+    assert info.value.key == "l"
+
+
+def _multiblock(**kwargs):
+    return ExperimentConfig(sim=SimulationConfig(l=8, p=6, k=2),
+                            mode="multiblock", **kwargs)
+
+
+@pytest.mark.parametrize("key, make", [
+    ("l", lambda: SimulationConfig(l=9, p=6, k=2)),
+    ("p", lambda: SimulationConfig(l=2, p=0, k=2)),
+    ("k", lambda: SimulationConfig(l=6, p=6, k=0)),
+    ("rho", lambda: SimulationConfig(rho=1.0)),
+    ("nu", lambda: SimulationConfig(nu=0.0)),
+    ("distribution", lambda: SimulationConfig(distribution="cauchy")),
+    ("n", lambda: SimulationConfig(n=0)),
+    ("estimator", lambda: PluginSpec(estimator="mle")),
+    ("regularizer", lambda: PluginSpec(regularizer="ridge")),
+    ("beta", lambda: PluginSpec(beta=1.5)),
+    ("bandwidth", lambda: PluginSpec(bandwidth=-1)),
+    ("distance", lambda: ExperimentConfig(distance="l2")),
+    ("mode", lambda: ExperimentConfig(mode="online")),
+    ("trials", lambda: ExperimentConfig(trials=0)),
+    ("n_grid", lambda: ExperimentConfig(n_grid=())),
+    ("n_grid", lambda: ExperimentConfig(n_grid=(12, 0))),
+    ("sizes", lambda: _multiblock(sizes=(8,))),
+    ("sizes", lambda: _multiblock(sizes=(8, 0))),
+    ("sizes", lambda: _multiblock(sizes=(4, 2))),
+    ("sizes", lambda: ExperimentConfig(sizes=(35, 5))),
+    ("max_iters", lambda: MMConfig(max_iters=0)),
+    ("tol", lambda: MMConfig(tol=-1.0)),
+    ("height", lambda: SimulateJob(SimulationConfig(), height=0)),
+    ("width", lambda: SimulateJob(SimulationConfig(), width=0)),
+    ("window", lambda: SimulateJob(SimulationConfig(), window=0)),
+    ("distance", lambda: check_distance("l2")),
+])
+def test_a_bad_setting_raises_a_config_error_naming_it(key, make):
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert info.value.key == key
+    assert isinstance(info.value, ValueError)
 
 
 def test_build_simulate_job_defaults():
@@ -195,8 +244,9 @@ def test_build_experiment_rejects_bad_distance_and_mode():
 
 
 def test_build_experiment_rejects_sizes_outside_multiblock():
-    with pytest.raises(ConfigError, match="experiment"):
+    with pytest.raises(ConfigError, match="sizes") as info:
         build_experiment({"l": "8", "p": "6", "k": "2", "sizes": "4,2,2"})
+    assert info.value.key == "sizes"
 
 
 def test_build_experiment_multiblock_sizes():
