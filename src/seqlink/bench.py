@@ -54,6 +54,8 @@ CSV_HEADER = "mode,distance,estimator,regularizer,n,trials,excluded,mse,stderr"
 # spectral fit's l x l plug-ins stay well under 100 MB at l = 405
 PLUGIN_BAND = (11, 4)
 
+TIMING_SOLVER = MMConfig(max_iters=30, tol=0.0)  # timing_experiment's budget
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -67,7 +69,6 @@ class ExperimentConfig:
     n_grid: tuple[int, ...] = (20, 30, 40, 50, 64, 80, 110)
     trials: int = 200
     master_seed: int = 0
-    inject_truth: bool = False
 
     def __post_init__(self):
         check_distance(self.distance)
@@ -146,11 +147,8 @@ def phase_diff_error(
 
 def _raw_plugins(cfg, sigma_true, root, sim, trials):
     """The (T, l, l) stack of the trials' unregularized plug-ins over all
-    dates, or of the injected truth; trial t draws its samples from
-    SeedSequence([master_seed, n, t]), given root = matrix_sqrt(sigma_true)
-    (None with the injected truth)."""
-    if cfg.inject_truth:
-        return np.broadcast_to(sigma_true, (len(trials),) + sigma_true.shape)
+    dates, which callers only read; trial t draws its samples from
+    SeedSequence([master_seed, n, t]), given root = matrix_sqrt(sigma_true)."""
     raw = replace(cfg.plugin, regularizer="none")
     out = np.empty((len(trials), sim.l, sim.l), dtype=complex)
     for i, t in enumerate(trials):
@@ -230,7 +228,7 @@ def _arm_errors(cfg: ExperimentConfig, n: int, threads: int) -> dict:
     sim = replace(cfg.sim, n=n)
     _, w_true, sigma_true = ground_truth(cfg.sim)
     # one factorization serves every trial's draw
-    root = None if cfg.inject_truth else matrix_sqrt(sigma_true)
+    root = matrix_sqrt(sigma_true)
     errors = {arm: np.full(cfg.trials, np.nan) for arm in arms}
     stalled = {arm: np.zeros(cfg.trials, dtype=bool) for arm in arms}
     # contiguous chunks of the trial indices, one per worker thread
@@ -245,8 +243,8 @@ def _arm_errors(cfg: ExperimentConfig, n: int, threads: int) -> dict:
             phases, any_stalled = np.ones((len(trials), 0)), False  # offline
             for bound in chain:
                 sigma = full[:, :bound, :bound]
-                phases, link_stalled = _fit(cfg, sigma if cfg.inject_truth
-                                            else regularize(sigma, cfg.plugin), phases)
+                phases, link_stalled = _fit(cfg, regularize(sigma, cfg.plugin),
+                                            phases)
                 any_stalled = any_stalled | link_stalled
             fits[arm] = phases, any_stalled
         kept = ~np.any([np.isnan(rows).any(axis=1)
@@ -299,8 +297,6 @@ def timing_experiment(
     k: int,
     distance: str = "kl",
     reps: int = 7,
-    iters: int = 30,
-    seed: int = 0,
 ) -> dict:
     """Median wall time (ms) of one sequential vs one offline solve.
 
@@ -329,12 +325,11 @@ def timing_experiment(
     if reps < 5:
         raise ValueError("need at least 5 repetitions")
     l = p + k
-    sim = SimulationConfig(l=l, p=p, k=k, n=2 * l, seed=seed)
+    sim = SimulationConfig(l=l, p=p, k=k, n=2 * l)
     _, w_true, sigma_true = ground_truth(sim)
     stack = sample_stack(sigma_true, sim)
     spec = PluginSpec(regularizer="shrink")
     sigma_hat = regularize(scm(stack), spec)
-    cfg = MMConfig(max_iters=iters, tol=0.0)
     win, width = PLUGIN_BAND
     band = sample_stack(sigma_true, replace(sim, n=win * width)).T
     band = band.reshape(l, win, width)
@@ -346,13 +341,13 @@ def timing_experiment(
                if distance == "kl" else None)
 
     def run_seq():
-        return _solve(distance, blocks, factors, w_past, cfg)
+        return _solve(distance, blocks, factors, w_past, TIMING_SOLVER)
 
     def run_seq_fit():
-        return fit(sigma_hat[None], cfg, distance, w_past)
+        return fit(sigma_hat[None], TIMING_SOLVER, distance, w_past)
 
     def run_offline():
-        return fit(sigma_hat[None], cfg, distance)
+        return fit(sigma_hat[None], TIMING_SOLVER, distance)
 
     # the middle row's window covers the whole band
     def run_plugin():

@@ -13,7 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bench import mc_mse_experiment, rows_to_csv, timing_experiment
+from .bench import (TIMING_SOLVER, mc_mse_experiment, rows_to_csv,
+                    timing_experiment)
 from .blas import blas_pinnable
 from .config import build_plugin, load_experiments, load_simulate_job
 from .errors import ConfigError
@@ -113,7 +114,7 @@ def cmd_solve(args) -> int:
     read_s = time.perf_counter() - start
     spec = build_plugin({"estimator": args.estimator,
                          "regularizer": args.regularizer})
-    cfg = MMConfig(max_iters=args.max_iters)
+    cfg = MMConfig()
     out = args.out or f"{args.stack}.phases.csv"
     manifest = manifest_path_for(out)
     entries = {
@@ -136,6 +137,9 @@ def cmd_solve(args) -> int:
                 "sequential mode needs --past-phases and --past-stack")
         entries["input.past_phases"] = args.past_phases
         entries["input.past_stack"] = args.past_stack
+    elif args.past_phases or args.past_stack:
+        raise ConfigError("past-phases",
+                          "offline mode takes no --past-phases or --past-stack")
     write_manifest(manifest, "solve", entries)
     if args.mode == "sequential":
         start = time.perf_counter()
@@ -239,8 +243,11 @@ def cmd_timing(args) -> int:
             fh.write("\n".join(lines) + "\n")
         write_manifest(manifest_path_for(args.out), "timing", {
             "p": ",".join(map(str, args.p)), "k": args.k,
-            "distance": args.distance,
-            "reps": args.reps, "output.csv": args.out, "status": "ok",
+            "distance": args.distance, "reps": args.reps,
+            "solver.max_iters": TIMING_SOLVER.max_iters,
+            "solver.tol": repr(TIMING_SOLVER.tol),
+            "blas.pinned": "yes" if blas_pinnable() else "no",
+            "output.csv": args.out, "status": "ok",
         })
     return 0
 
@@ -274,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "the stack container if it ends in "
                                        ".slk, else CSV")
     p_solve.add_argument("--threads", type=int, default=1)
-    p_solve.add_argument("--max-iters", type=int,
-                         default=MMConfig().max_iters)
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run Monte Carlo MSE experiments")

@@ -3,8 +3,8 @@
 Grammar: one `key=value` per line; `#` starts a comment (whole-line or
 trailing); blank lines ignored. A line of `[experiment]` opens a new
 experiment section; keys above the first section are shared defaults that
-every section inherits and may override. Files with no sections describe a
-single job from the top-level keys alone.
+every section inherits and may override, out excepted. Files with no
+sections describe a single job from the top-level keys alone.
 
 This module parses, types and routes keys: it refuses an unknown key or a
 value of the wrong type, and splits regularizer tokens. Each value's range
@@ -25,7 +25,7 @@ _INT_KEYS = frozenset({
     "master_seed",
 })
 _FLOAT_KEYS = frozenset({"rho", "nu"})
-_BOOL_KEYS = frozenset({"noiseless", "inject_truth"})
+_BOOL_KEYS = frozenset({"noiseless"})
 _INT_LIST_KEYS = frozenset({"n_grid", "sizes"})
 
 # n is no key: simulate draws one sample per pixel and the bench each size
@@ -36,7 +36,7 @@ SIMULATE_KEYS = _SIM_KEYS | frozenset({
     "seed", "height", "width", "noiseless", "window", "out", "truth_out"})
 EXPERIMENT_KEYS = _SIM_KEYS | frozenset({
     "estimator", "regularizer", "distance", "mode", "sizes", "n_grid",
-    "trials", "master_seed", "inject_truth", "out",
+    "trials", "master_seed", "out",
 })
 
 
@@ -155,8 +155,8 @@ def build_plugin(values: dict) -> PluginSpec:
 def build_experiment(mapping: dict[str, str]) -> ExperimentConfig:
     values = _typed(mapping, EXPERIMENT_KEYS)
     kwargs = {key: values[key] for key in
-              ("distance", "mode", "sizes", "n_grid", "trials", "master_seed",
-               "inject_truth") if key in values}
+              ("distance", "mode", "sizes", "n_grid", "trials", "master_seed")
+              if key in values}
     return ExperimentConfig(sim=build_simulation(values),
                             plugin=build_plugin(values), **kwargs)
 
@@ -168,6 +168,8 @@ def load_experiments(text: str):
     strings of each parsed section.
     """
     defaults, sections = parse_config(text)
+    if any(job.get("out") != defaults.get("out") for job in sections):
+        raise ConfigError("out", "out may only be set above the first section")
     jobs = sections if sections else [defaults]
     configs = [build_experiment(job) for job in jobs]
     out = defaults.get("out", "bench.csv")

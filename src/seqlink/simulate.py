@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NotPositiveDefinite
-from .linalg import DEFAULT_JITTER, hermitize, jittered_cholesky
+from .linalg import hermitize, jittered_cholesky
 from .plugins import unit_phasors
 
 DISTRIBUTIONS = ("gaussian", "scaled_gaussian")
@@ -81,7 +81,7 @@ def build_true_covariance(psi: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def matrix_sqrt(sigma: np.ndarray, jitter: float = DEFAULT_JITTER) -> np.ndarray:
+def matrix_sqrt(sigma: np.ndarray) -> np.ndarray:
     """Lower-triangular (or eigenvector-based) L with L Lᴴ = sigma.
 
     Cholesky with linalg's jitter rescue; positive semidefinite but singular
@@ -90,7 +90,7 @@ def matrix_sqrt(sigma: np.ndarray, jitter: float = DEFAULT_JITTER) -> np.ndarray
     """
     sigma = np.asarray(sigma, dtype=complex)
     try:
-        return jittered_cholesky(sigma, jitter)[0]
+        return jittered_cholesky(sigma)[0]
     except NotPositiveDefinite:
         pass
     values, vectors = np.linalg.eigh(hermitize(sigma))

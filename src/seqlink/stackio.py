@@ -5,9 +5,10 @@ Stack container layout (little-endian, 28-byte header):
   magic "SLKSTACK" | version u16 | l u16 | height u32 | width u32 |
   dtype u8 (0 = complex64, 1 = complex128) | 7 reserved zero bytes
 followed by l*height*width complex entries, interleaved (re, im), image-major
-then row-major. Writing and re-reading reproduces entries bit-exactly.
-read_stack reads the payload straight into the array it returns, so a read
-holds no second copy of the entries.
+then row-major. write_stack writes complex128 only, so writing and re-reading
+reproduces entries bit-exactly. read_stack also reads complex64 (as other
+programs may write it), widened exactly; it reads a complex128 payload
+straight into the array it returns, holding no second copy of the entries.
 
 A phase raster is stored either as CSV or in the stack container as unit
 phasors; read_phase_raster tells the two apart by the magic bytes. Both keep
@@ -28,19 +29,15 @@ from .raster import ImageStack, PhaseRaster, wrap_angle
 MAGIC = b"SLKSTACK"
 STACK_VERSION = 1
 _HEADER = struct.Struct("<8sHHIIB7s")
-_DTYPE_CODES = {"complex64": 0, "complex128": 1}
 _CODE_DTYPES = {0: np.complex64, 1: np.complex128}
 
 
-def write_stack(path, stack: ImageStack, dtype: str = "complex128") -> None:
-    if dtype not in _DTYPE_CODES:
-        raise ValueError(f"dtype must be one of {sorted(_DTYPE_CODES)}")
-    code = _DTYPE_CODES[dtype]
-    # one copy at most (none for a C-ordered stack of the file's dtype),
-    # written straight from the array's buffer
-    data = np.ascontiguousarray(stack.data, dtype=_CODE_DTYPES[code])
+def write_stack(path, stack: ImageStack) -> None:
+    # one copy at most (none for a C-ordered stack), written straight from
+    # the array's buffer
+    data = np.ascontiguousarray(stack.data, dtype=np.complex128)
     header = _HEADER.pack(MAGIC, STACK_VERSION, stack.count, stack.height,
-                          stack.width, code, b"\x00" * 7)
+                          stack.width, 1, b"\x00" * 7)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(data.data)

@@ -37,6 +37,15 @@ def small_cfg(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def inject_truth(monkeypatch):
+    """Make every trial's plug-in the true covariance, so that the fits
+    should recover the true phases."""
+    def truth_plugins(cfg, sigma_true, root, sim, trials):
+        return np.broadcast_to(sigma_true, (len(trials),) + sigma_true.shape)
+
+    monkeypatch.setattr(seqlink.bench, "_raw_plugins", truth_plugins)
+
+
 # ---------------------------------------------------------------------------
 # phase_diff_error
 
@@ -183,9 +192,9 @@ def test_mse_row_csv_line_and_header():
 
 @pytest.mark.parametrize("mode", ["offline", "sequential"])
 @pytest.mark.parametrize("distance", ["kl", "frob"])
-def test_truth_injection_gives_zero_mse(mode, distance):
-    cfg = small_cfg(mode=mode, distance=distance, inject_truth=True,
-                    trials=3, n_grid=(16,))
+def test_truth_injection_gives_zero_mse(mode, distance, monkeypatch):
+    inject_truth(monkeypatch)
+    cfg = small_cfg(mode=mode, distance=distance, trials=3, n_grid=(16,))
     for row in mc_mse_experiment(cfg):
         assert row.excluded == 0
         assert row.mse <= 1e-10
@@ -346,10 +355,11 @@ def test_rows_sorted_by_sample_size():
 # multiblock
 
 
-def test_multiblock_truth_injection_arms_agree():
+def test_multiblock_truth_injection_arms_agree(monkeypatch):
+    inject_truth(monkeypatch)
     cfg = small_cfg(sim=SimulationConfig(l=8, p=6, k=2, rho=0.9, n=32),
-                    mode="multiblock", sizes=(4, 2, 2), inject_truth=True,
-                    trials=2, n_grid=(16,))
+                    mode="multiblock", sizes=(4, 2, 2), trials=2,
+                    n_grid=(16,))
     rows = mc_mse_experiment(cfg)
     assert [row.mode for row in rows] == list(MULTIBLOCK_ARMS)
     mses = [row.mse for row in rows]
@@ -435,10 +445,11 @@ def test_kl_multiblock_csv_identical_across_thread_counts():
         assert rows_to_csv(mc_mse_experiment(cfg, threads=threads)) == one
 
 
-def test_multiblock_dispatch_through_mc_mse_experiment():
+def test_multiblock_dispatch_through_mc_mse_experiment(monkeypatch):
+    inject_truth(monkeypatch)
     cfg = small_cfg(sim=SimulationConfig(l=6, p=4, k=2, rho=0.9, n=32),
-                    mode="multiblock", sizes=(3, 2, 1), inject_truth=True,
-                    trials=2, n_grid=(12,))
+                    mode="multiblock", sizes=(3, 2, 1), trials=2,
+                    n_grid=(12,))
     assert len(mc_mse_experiment(cfg)) == 3
     with pytest.raises(ValueError):
         trial_errors(cfg, 12)
@@ -448,8 +459,10 @@ def test_multiblock_dispatch_through_mc_mse_experiment():
 # timing
 
 
-def test_timing_experiment_small_problem_is_finite():
-    out = timing_experiment(p=2, k=2, distance="kl", reps=5, iters=5)
+def test_timing_experiment_small_problem_is_finite(monkeypatch):
+    monkeypatch.setattr(seqlink.bench, "TIMING_SOLVER",
+                        MMConfig(max_iters=5, tol=0.0))
+    out = timing_experiment(p=2, k=2, distance="kl", reps=5)
     assert out["seq_ms"] > 0.0
     assert out["offline_ms"] > 0.0
 
@@ -467,3 +480,5 @@ def test_timing_experiment_validates_inputs():
         timing_experiment(p=4, k=1, distance="cosine")
     with pytest.raises(ValueError):
         timing_experiment(p=4, k=1, reps=3)
+    with pytest.raises(TypeError):
+        timing_experiment(p=4, k=1, iters=5)

@@ -31,6 +31,7 @@ from seqlink import (
 )
 from seqlink.blas import blas_pinnable
 from seqlink.cli import main
+from seqlink.solvers import MMConfig
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -70,6 +71,11 @@ def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "seqlink", *map(str, args)],
         capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def one_iteration_budget(monkeypatch):
+    """Make the solver budget that solve fits with one iteration."""
+    monkeypatch.setattr(seqlink.cli, "MMConfig", lambda: MMConfig(max_iters=1))
 
 
 @pytest.fixture(scope="module")
@@ -177,11 +183,12 @@ def test_solve_fits_with_the_library_default_budget(tmp_path):
 
 
 def test_solve_with_a_malformed_truth_csv_exits_2_naming_the_line(
-        scene, tmp_path, capsys):
+        scene, tmp_path, capsys, monkeypatch):
+    one_iteration_budget(monkeypatch)
     truth = tmp_path / "truth.csv"
     truth.write_text("date,angle\n0,0.0\n1,abc\n")
     assert main(["solve", str(scene / "demo.slk"), "--window", "4",
-                 "--max-iters", "1", "--truth", str(truth),
+                 "--truth", str(truth),
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert f"{truth}: line 3: " in capsys.readouterr().err
 
@@ -215,22 +222,35 @@ def test_sequential_without_past_inputs_exits_2(scene):
     assert "past" in result.stderr
 
 
-def test_solve_flags_pixels_that_run_out_of_iterations(tmp_path):
+@pytest.mark.parametrize("flag", ["--past-phases", "--past-stack"])
+def test_offline_solve_given_a_past_input_exits_2(scene, tmp_path, flag,
+                                                  capsys):
+    """An offline solve reads no past, so a past input is refused, before
+    the manifest is written, rather than ignored."""
+    assert main(["solve", str(scene / "demo.slk"), flag,
+                 str(tmp_path / "nonexistent"),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "error: past-phases: offline mode" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_flags_pixels_that_run_out_of_iterations(tmp_path, capsys,
+                                                       monkeypatch):
     cfg = tmp_path / "noisy.cfg"
     stack = tmp_path / "noisy.slk"
     cfg.write_text(SIM_CFG.format(out=stack).replace("noiseless = true",
                                                      "noiseless = false"))
-    assert run_cli("simulate", cfg).returncode == 0
+    assert main(["simulate", str(cfg)]) == 0
+    one_iteration_budget(monkeypatch)
     out = tmp_path / "noisy.csv"
-    result = run_cli("solve", stack, "--window", 4, "--max-iters", 1,
-                     "--out", out)
-    assert result.returncode == 0, result.stderr
+    capsys.readouterr()
+    assert main(["solve", str(stack), "--window", "4", "--out", str(out)]) == 0
     record = read_manifest(tmp_path / "noisy.csv.manifest.txt")
     count = int(record["pixels.nonconverged"])
     assert count > 0
     assert record["iterations.p50"] == "1.0"
     assert record["iterations.max"] == "1"
-    assert f"{count} did not converge" in result.stderr
+    assert f"{count} did not converge" in capsys.readouterr().err
     # unconverged phases are still written, not turned into failures
     assert record["pixels.failed"] == "0"
     assert not np.isnan(read_phase_raster(out).data).any()
@@ -269,10 +289,11 @@ def test_binary_raster_output_round_trips(scene):
     assert raster.count == 6
 
 
-@pytest.mark.parametrize("flag", [["--binary"], ["--tol", "1e-10"]])
+@pytest.mark.parametrize("flag", [["--binary"], ["--tol", "1e-10"],
+                                  ["--max-iters", "5"]])
 def test_solve_takes_no_binary_or_tol_flag(scene, tmp_path, flag, capsys):
-    """The output format follows the --out suffix, and the stopping
-    tolerance is MMConfig()'s."""
+    """The output format follows the --out suffix, and the solver budget is
+    MMConfig()'s."""
     assert main(["solve", str(scene / "demo.slk"), "--out",
                  str(tmp_path / "x.slk"), *flag]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
@@ -310,10 +331,13 @@ def test_failed_pixels_survive_the_raster_file_and_the_update_skips_them(
         failed.sum())
 
 
-def test_solve_and_bench_manifests_record_the_solver_budget(scene, tmp_path):
+def test_solve_and_bench_manifests_record_the_solver_budget(scene, tmp_path,
+                                                           monkeypatch):
     out = tmp_path / "one.csv"
-    assert main(["solve", str(scene / "demo.slk"), "--window", "4",
-                 "--max-iters", "1", "--out", str(out)]) == 0
+    with monkeypatch.context() as patch:
+        one_iteration_budget(patch)
+        assert main(["solve", str(scene / "demo.slk"), "--window", "4",
+                     "--out", str(out)]) == 0
     record = read_manifest(f"{out}.manifest.txt")
     assert record["solver.max_iters"] == "1"
     assert record["solver.tol"] == "1e-14"
@@ -400,6 +424,20 @@ def test_bench_writes_csv_and_manifest(tmp_path):
     assert record["config.experiment_1.mode"] == "sequential"
 
 
+@pytest.mark.parametrize("header", ["", "out = {dir}/bench.csv\n"],
+                         ids=["header-without-out", "header-with-out"])
+def test_bench_refuses_out_inside_a_section(tmp_path, capsys, header):
+    """One CSV holds every experiment's rows, so only the header sets out;
+    a section's out is refused, not ignored."""
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"l=6\np=4\nk=2\ntrials=1\nn_grid=8\n"
+                   f"{header.format(dir=tmp_path)}"
+                   f"[experiment]\nout = {tmp_path}/inner.csv\n")
+    assert main(["bench", str(cfg)]) == 2
+    assert "error: out: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_bench_output_identical_across_thread_counts(tmp_path):
     texts = {}
     for threads in (1, 4):
@@ -445,6 +483,10 @@ def test_timing_runs_one_row_per_past_length(tmp_path):
     assert out.read_text() == result.stdout
     manifest = read_manifest(f"{out}.manifest.txt")
     assert manifest["p"] == "8,12" and manifest["status"] == "ok"
+    # the fixed budget the timings were taken with, and the BLAS pinning
+    assert manifest["solver.max_iters"] == "30"
+    assert manifest["solver.tol"] == "0.0"
+    assert manifest["blas.pinned"] == ("yes" if blas_pinnable() else "no")
 
 
 def test_timing_prints_the_rows_timed_before_a_failing_past_length(tmp_path):

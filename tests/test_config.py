@@ -107,6 +107,7 @@ def test_unknown_key_is_named_in_the_error():
     (load_simulate_job, "n", "l=6\np=4\nk=2\nn=128\n"),
     (load_experiments, "n", "l=6\np=4\nk=2\nn=128\n"),
     (load_experiments, "seed", "l=6\np=4\nk=2\n[experiment]\nseed=3\n"),
+    (load_experiments, "inject_truth", "l=6\np=4\nk=2\ninject_truth=yes\n"),
 ])
 def test_phase_span_and_solver_budget_are_not_config_keys(load, key, text):
     with pytest.raises(ConfigError, match=key) as info:

@@ -264,6 +264,8 @@ def test_sample_stack_from_a_shared_root_is_the_same_draw(distribution):
     sim = SimulationConfig(l=6, p=4, k=2, distribution=distribution, n=16)
     _, _, sigma = ground_truth(sim)
     root = matrix_sqrt(sigma)
+    with pytest.raises(TypeError):  # the rescue's jitter is DEFAULT_JITTER
+        matrix_sqrt(sigma, jitter=0.0)
     for seed in (3, np.random.SeedSequence([0, 16, 2])):
         assert np.array_equal(sample_stack(sigma, sim, seed, root),
                               sample_stack(sigma, sim, seed))
