@@ -21,6 +21,7 @@ from .errors import ConfigError
 from .plugins import window_bounds
 from .raster import (
     ImageStack,
+    block_rows,
     noiseless_raster,
     process_stack_offline,
     process_stack_sequential,
@@ -146,11 +147,13 @@ def cmd_solve(args) -> int:
         past_raster = read_phase_raster(args.past_phases)
         past_stack = read_stack(args.past_stack)
         read_s += time.perf_counter() - start
+        p = past_stack.count
         start = time.perf_counter()
         raster = process_stack_sequential(
             stack, past_raster, past_stack, spec, args.distance,
             args.window, cfg, threads)
     else:
+        p = 0
         start = time.perf_counter()
         raster = process_stack_offline(
             stack, spec, args.distance, args.window, cfg, threads)
@@ -169,7 +172,10 @@ def cmd_solve(args) -> int:
         print(f"{failed} of {total} pixels failed; "
               f"{nonconverged} did not converge; "
               f"{undersampled} undersampled", file=sys.stderr)
-    metrics = {"pixels.failed": failed, "pixels.nonconverged": nonconverged,
+    rows = block_rows(stack.height, p + stack.count, p, args.distance,
+                      threads)
+    metrics = {"raster.block_rows": rows, "pixels.failed": failed,
+               "pixels.nonconverged": nonconverged,
                "pixels.undersampled": undersampled}
     solved = raster.iterations[~raster.failed]
     metrics["iterations.p50"] = (repr(float(np.median(solved)))
@@ -228,6 +234,16 @@ def int_list(text: str) -> list[int]:
 
 
 def cmd_timing(args) -> int:
+    if args.out:
+        manifest = manifest_path_for(args.out)
+        write_manifest(manifest, "timing", {
+            "p": ",".join(map(str, args.p)), "k": args.k,
+            "distance": args.distance, "reps": args.reps,
+            "solver.max_iters": TIMING_SOLVER.max_iters,
+            "solver.tol": repr(TIMING_SOLVER.tol),
+            "blas.pinned": "yes" if blas_pinnable() else "no",
+            "output.csv": args.out,
+        })
     # print each row as it is timed, so a failure at one p keeps earlier rows
     lines = [TIMING_HEADER]
     print(TIMING_HEADER, flush=True)
@@ -241,14 +257,7 @@ def cmd_timing(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        write_manifest(manifest_path_for(args.out), "timing", {
-            "p": ",".join(map(str, args.p)), "k": args.k,
-            "distance": args.distance, "reps": args.reps,
-            "solver.max_iters": TIMING_SOLVER.max_iters,
-            "solver.tol": repr(TIMING_SOLVER.tol),
-            "blas.pinned": "yes" if blas_pinnable() else "no",
-            "output.csv": args.out, "status": "ok",
-        })
+        append_manifest(manifest, {"status": "ok"})
     return 0
 
 

@@ -148,25 +148,28 @@ def window_bounds(size: int, win: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def window_estimates(data, row: int, win: int, spec: PluginSpec,
-                     first: int = 0) -> np.ndarray:
+                     first: int = 0, rows: int = 1) -> np.ndarray:
     """Rows first: of the plug-in of every pixel's clipped win x win window
-    in one row of an (l, height, width) stack, as a (width, l - first, l)
-    array; first = 0 gives the whole plug-in.
+    in rows row:row + rows of an (l, height, width) stack, as a
+    (rows * width, l - first, l) array in raster order; first = 0 gives the
+    whole plug-in.
 
     data may also be a sequence of (l_i, height, width) stacks of
     consecutive dates (say, the past and the new images of an update),
-    which are read in place: only the window rows are copied, into one
-    band over all l dates.
+    which are read in place: each stack row that the block's windows read is
+    copied once (and, for po, normalized once), into one band over all l
+    dates and rows + win - 1 raster rows at most.
 
-    Equals estimate() on sliding-window samples up to summation order. One
-    stacked matmul sums each column's outer products over the window rows,
-    for rows first: against all l columns. Those terms are then summed over
-    the window columns by products with a 0/1 band matrix on their real
-    view, one tile of win output columns at a time, so the work is
-    O((l - first) l win) per pixel instead of O((l - first) l win^2) and no
-    width x width matrix is built. The sums are scaled by 0.5 / (clipped
-    area), which gives the same bits as dividing by the area and halving
-    after the symmetrization.
+    Equals estimate() on sliding-window samples up to summation order. For
+    each output row, one stacked matmul sums each column's outer products
+    over the window rows, for rows first: against all l columns. Those
+    terms are then summed over the window columns by products with a 0/1
+    band matrix on their real view, one tile of win output columns at a
+    time for all output rows at once, so the work is O((l - first) l win)
+    per pixel instead of O((l - first) l win^2) and no width x width matrix
+    is built. The sums are scaled by 0.5 / (clipped area), which gives the
+    same bits as dividing by the area and halving after the symmetrization.
+    Each plug-in is the same, bit for bit, whatever block it is built in.
 
     The rows equal rows first: of the whole plug-in to rounding: the whole
     plug-in adds each entry left of column first to the conjugate of its
@@ -176,9 +179,10 @@ def window_estimates(data, row: int, win: int, spec: PluginSpec,
     Hermitian, as the whole plug-in is.
 
     The regularizer works in place on the output, whole plug-in or rows, so
-    no second (width, l - first, l) array is built. The whole plug-in equals
-    regularize() of the unregularized one (==, which does not see the sign
-    of a zero: out of place, shrinkage adds +0 to the off-diagonal entries).
+    no second (rows * width, l - first, l) array is built. The whole
+    plug-in equals regularize() of the unregularized one (==, which does not
+    see the sign of a zero: out of place, shrinkage adds +0 to the
+    off-diagonal entries).
 
     The products run on one BLAS thread, since their rounding can depend on
     the BLAS thread count; so the result is the same whether or not the
@@ -191,38 +195,53 @@ def window_estimates(data, row: int, win: int, spec: PluginSpec,
     height, width = stacks[0].shape[1:]
     if not 0 <= first < l:
         raise ValueError(f"first row {first} must satisfy 0 <= first < l={l}")
+    stop = row + rows
+    if not (rows >= 1 and 0 <= row and stop <= height):
+        raise ValueError(f"rows {row}:{stop} must lie in 0:{height}")
     r_start, r_stop = window_bounds(height, win)
     c_start, c_stop = window_bounds(width, win)
-    # (width, window rows, l): each column's window rows form one matrix
-    cols = np.empty((width, r_stop[row] - r_start[row], l), dtype=complex)
+    top, bottom = r_start[row], r_stop[stop - 1]
+    # (width, band rows, l): each column's band rows form one matrix
+    cols = np.empty((width, bottom - top, l), dtype=complex)
     date = 0
     for stack in stacks:
-        band = stack[:, r_start[row]:r_stop[row]]
+        band = stack[:, top:bottom]
         if spec.estimator == "po":
             band = unit_phasors(band)
         cols[:, :, date:date + len(stack)] = band.transpose(2, 1, 0)
         date += len(stack)
     conj = cols.conj()
+    windows = [slice(r_start[r] - top, r_stop[r] - top)
+               for r in range(row, stop)]
     shrink_rows = (first > 0 and spec.regularizer == "shrink"
                    and spec.estimator == "scm")
+    terms = np.empty((rows * width, l - first, l), dtype=complex)
     with single_blas_thread():
-        terms = np.matmul(cols[:, :, first:].transpose(0, 2, 1), conj)
-        sigma = np.empty_like(terms)
-        sums = sigma.view(float).reshape(width, -1)
-        pairs = [(terms.view(float).reshape(width, -1), sums)]
+        for i, window in enumerate(windows):
+            np.matmul(cols[:, window, first:].transpose(0, 2, 1),
+                      conj[:, window], out=terms[i * width:(i + 1) * width])
         if shrink_rows:
-            flat = cols.reshape(width, -1)
-            trace = np.empty((width, 1))
-            pairs.append((np.vecdot(flat, flat).real[:, None], trace))
+            squares = np.empty((rows, width), dtype=complex)
+            for i, window in enumerate(windows):
+                flat = cols[:, window].reshape(width, -1)
+                squares[i] = np.vecdot(flat, flat)
+        del cols, conj  # the band is spent: free it before sigma is made
+        sigma = np.empty_like(terms)
+        sums = sigma.view(float).reshape(rows, width, -1)
+        pairs = [(terms.view(float).reshape(rows, width, -1), sums)]
+        if shrink_rows:
+            trace = np.empty((rows, width, 1))
+            pairs.append((squares.real[:, :, None], trace))
         for start in range(0, width, win):
-            stop = min(start + win, width)
-            taps = np.arange(c_start[start], c_stop[stop - 1])
-            ones = ((taps >= c_start[start:stop, None])
-                    & (taps < c_stop[start:stop, None])).astype(float)
+            end = min(start + win, width)
+            taps = np.arange(c_start[start], c_stop[end - 1])
+            ones = ((taps >= c_start[start:end, None])
+                    & (taps < c_stop[start:end, None])).astype(float)
             for src, dst in pairs:
-                np.matmul(ones, src[taps[0]:taps[-1] + 1], out=dst[start:stop])
-    area = (r_stop[row] - r_start[row]) * (c_stop - c_start)
-    sums *= (0.5 / area)[:, None]
+                np.matmul(ones, src[:, taps[0]:taps[-1] + 1],
+                          out=dst[:, start:end])
+    area = np.outer(r_stop[row:stop] - r_start[row:stop], c_stop - c_start)
+    sums *= (0.5 / area)[:, :, None]
     # BLAS does not guarantee exact conjugate symmetry; enforce it. Entry
     # (i, j) of the new block adds the conjugate of entry (j, i), from the
     # row terms (which are spent, so their buffer holds the conjugate); an
@@ -243,9 +262,9 @@ def window_estimates(data, row: int, win: int, spec: PluginSpec,
         if not first:
             scale = np.trace(sigma, axis1=-2, axis2=-1).real / l
         elif shrink_rows:
-            scale = trace[:, 0] / (area * l)
+            scale = (trace[:, :, 0] / (area * l)).ravel()
         else:
-            scale = np.ones(width)
+            scale = np.ones(rows * width)
         sigma *= spec.beta
         sigma[:, diag, first + diag] += ((1.0 - spec.beta) * scale)[:, None]
     return sigma

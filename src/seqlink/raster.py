@@ -1,13 +1,14 @@
 """Whole-raster phase estimation.
 
-The raster is processed row by row. Each row builds every pixel's
-sliding-window plug-in in one pass (plugins.window_estimates), or only its
-new rows for a least-squares update, and solves all its pixels in one
-solvers.fit call, one stacked MM under either objective, given each pixel's
-past phases; an offline raster has an empty past.
-Rows run on the calling thread and threads - 1 helper threads (_run_rows).
-Pixels are independent, so the result is byte-identical for any number of
-worker threads.
+The raster is processed in blocks of consecutive rows (block_rows): one
+row a block when the fit reads whole plug-ins, several for a least-squares
+update. Each block builds every pixel's sliding-window plug-in in one pass
+(plugins.window_estimates), or only its new rows for a least-squares
+update, and solves all its pixels in one solvers.fit call, one stacked MM
+under either objective, given each pixel's past phases; an offline raster
+has an empty past. Blocks run on the calling thread and threads - 1 helper
+threads (_run_rows). Pixels are independent, so the result is
+byte-identical for any block size and number of worker threads.
 """
 from __future__ import annotations
 
@@ -136,9 +137,10 @@ def sliding_window_extract(
 
 
 def _run_rows(height: int, worker, threads: int) -> None:
-    """worker(row) for every row, on `threads` workers: the calling thread
-    and min(threads, height) - 1 helper threads, which take rows from one
-    shared iterator. BLAS runs on one thread (see blas.single_blas_thread),
+    """worker(row) for every row in range(height), on `threads` workers:
+    the calling thread and min(threads, height) - 1 helper threads, which
+    take rows from one shared iterator (_process hands it blocks of raster
+    rows). BLAS runs on one thread (see blas.single_blas_thread),
     so that the workers are the only parallelism.
 
     The caller works rather than waits, so the heap it has already freed
@@ -190,20 +192,36 @@ def _window_masks(signal: np.ndarray, bad: np.ndarray, win: int, depth: int):
     return np.outer(r1 - r0, c1 - c0) < depth, unusable
 
 
+def block_rows(height: int, l: int, p: int, distance: str,
+               threads: int) -> int:
+    """Raster rows per block of a fit of l dates given p past phases, which
+    reads plug-in rows first: of l (solvers.first_fitted_row): as many as
+    keep the block's plug-in rows within the bytes of one row of whole
+    plug-ins, l // (l - first), and at most ceil(height / (2 threads)), so
+    that each worker has at least two blocks to take. A fit of whole
+    plug-ins (first = 0) takes one row a block."""
+    first = first_fitted_row(distance, p)
+    return min(l // (l - first), -(-height // (2 * threads)))
+
+
 def _process(stacks, past, win: int, spec: PluginSpec,
              skip: np.ndarray, cfg: MMConfig, distance: str,
              threads: int) -> PhaseRaster:
     """fit every pixel of a sequence of (l_i, height, width) stacks of
-    consecutive dates, row by row, given the (p, height, width) past angles
-    (p = 0 for an offline raster); pixels hold the last k = l - p dates.
-    Pixels in skip, with all-zero windows or a non-finite entry in their
-    window, or whose fit fails are failed.
+    consecutive dates, in blocks of consecutive rows, given the
+    (p, height, width) past angles (p = 0 for an offline raster); pixels
+    hold the last k = l - p dates. Pixels in skip, with all-zero windows or
+    a non-finite entry in their window, or whose fit fails are failed.
 
-    The stacks are read in place: each row's window rows are copied into
+    The stacks are read in place: each block's window rows are copied into
     one band by window_estimates. Non-finite entries are read as 0 (from a
     copy of the stack that holds them), so no other pixel's plug-in sees
     them. A least-squares update reads only the k new rows of each plug-in,
-    so only those are built; a spectral fit builds the whole plug-in.
+    so only those are built; a spectral fit builds the whole plug-in. Each
+    block is one fit call over its live pixels; a block holds block_rows
+    rows, so a least-squares update fits several rows at once and a fit of
+    whole plug-ins one. No pixel's result depends on its block, so the
+    raster is the same, bit for bit, for any block size.
     """
     stacks = list(stacks)
     height, width = stacks[0].shape[1:]
@@ -219,23 +237,27 @@ def _process(stacks, past, win: int, spec: PluginSpec,
     undersampled, unusable = _window_masks(signal, bad_grid, win, l)
     skipped = skip | unusable
     first = first_fitted_row(distance, len(past))
+    rows = block_rows(height, l, len(past), distance, threads)
     out = np.full((l - len(past), height, width), np.nan)
     iterations = np.zeros((height, width), dtype=int)
     nonconverged = np.zeros((height, width), dtype=bool)
 
-    def worker(row: int) -> None:
-        live = ~skipped[row]
+    def worker(block: int) -> None:
+        start = block * rows
+        stop = min(start + rows, height)
+        live = ~skipped[start:stop]
         if not live.any():
             return
-        sigma = window_estimates(stacks, row, win, spec, first)
-        w_past = np.exp(1j * past[:, row, live].T)
-        batch = fit(sigma if live.all() else sigma[live], cfg, distance, w_past)
+        sigma = window_estimates(stacks, start, win, spec, first, stop - start)
+        w_past = np.exp(1j * past[:, start:stop][:, live].T)
+        batch = fit(sigma if live.all() else sigma[live.ravel()], cfg,
+                    distance, w_past)
         lost = np.isnan(batch.phases).any(axis=1)
-        out[:, row, live] = np.angle(batch.phases).T
-        iterations[row, live] = batch.iterations
-        nonconverged[row, live] = ~batch.converged & ~lost
+        out[:, start:stop][:, live] = np.angle(batch.phases).T
+        iterations[start:stop][live] = batch.iterations
+        nonconverged[start:stop][live] = ~batch.converged & ~lost
 
-    _run_rows(height, worker, threads)
+    _run_rows(-(-height // rows), worker, threads)
     return PhaseRaster(out, undersampled, nonconverged, iterations)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import seqlink.cli
+import seqlink.raster
 from seqlink import (
     MAGIC,
     ConfigError,
@@ -375,6 +376,38 @@ def test_solve_manifest_times_each_stage(scene, tmp_path):
                  ("timing.read_s", "timing.fit_s", "timing.write_s"), wall)
 
 
+@pytest.mark.parametrize("distance", ["frob", "kl"])
+def test_solve_manifest_records_the_rows_of_each_block(scene, tmp_path,
+                                                       monkeypatch, distance):
+    """An offline fit, and any spectral fit, takes one row a block; a
+    least-squares update of k = 2 of l = 6 dates takes l // k = 3 rows, at
+    most ceil(8 / (2 threads)), and the raster runs that many blocks."""
+    blocks = []
+    run_rows = seqlink.raster._run_rows
+
+    def recording_run_rows(count, worker, threads):
+        blocks.append(count)
+        return run_rows(count, worker, threads)
+
+    monkeypatch.setattr(seqlink.raster, "_run_rows", recording_run_rows)
+    past = tmp_path / "past.csv"
+    assert main(["solve", str(scene / "demo.slk.past.slk"), "--window", "4",
+                 "--distance", distance, "--out", str(past)]) == 0
+    assert read_manifest(f"{past}.manifest.txt")["raster.block_rows"] == "1"
+    for threads, frob_rows in ((1, 3), (2, 2), (5, 1)):
+        rows = frob_rows if distance == "frob" else 1
+        out = tmp_path / f"seq{threads}.csv"
+        assert main(["solve", str(scene / "demo.slk.new.slk"), "--window",
+                     "4", "--distance", distance, "--mode", "sequential",
+                     "--past-phases", str(past), "--past-stack",
+                     str(scene / "demo.slk.past.slk"), "--threads",
+                     str(threads), "--out", str(out)]) == 0
+        manifest = read_manifest(f"{out}.manifest.txt")
+        assert manifest["raster.block_rows"] == str(rows)
+        assert blocks[-1] == -(-8 // rows)
+    assert blocks[0] == 8
+
+
 def test_bench_manifest_times_each_stage(tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(BENCH_CFG.format(out=tmp_path / "b.csv")
@@ -500,6 +533,11 @@ def test_timing_prints_the_rows_timed_before_a_failing_past_length(tmp_path):
                         "plugin_ms")
     assert len(lines) == 2 and lines[1].split(",")[:3] == ["8", "2", "kl"]
     assert not out.exists()
+    # the manifest is written before the first timed row; only a run that
+    # finished marks it ok
+    manifest = read_manifest(f"{out}.manifest.txt")
+    assert manifest["p"] == "8,1" and manifest["output.csv"] == str(out)
+    assert "status" not in manifest
 
 
 def test_timing_rejects_bad_shape():

@@ -454,6 +454,37 @@ def test_window_estimates_read_a_sequence_of_stacks_as_their_dates(first):
             assert np.array_equal(split, expected)
 
 
+@pytest.mark.parametrize("spec", WINDOW_SPECS, ids=lambda s: "-".join(s.label()))
+@pytest.mark.parametrize("first", [0, 9])
+@pytest.mark.parametrize("split", [False, True], ids=["one", "sequence"])
+def test_window_estimates_of_a_block_are_its_rows_bit_for_bit(spec, first,
+                                                              split):
+    """The plug-ins of a block of raster rows are those of one-row calls,
+    bit for bit and in raster order: blocks at the borders and inside, of
+    one stack or of past and new stacks, whole plug-ins or rows p = 9 of
+    l = 12, also with a window taller than the raster."""
+    rng = np.random.default_rng(46)
+    l, height, width = 12, 9, 13
+    data = heavy_tailed_stack(rng, l, height, width)
+    stacks = [data[:9], data[9:]] if split else data
+    for win in (1, 4, 11):
+        single = [window_estimates(data, row, win, spec, first)
+                  for row in range(height)]
+        for rows in (2, 3, height):
+            for row in range(height - rows + 1):
+                block = window_estimates(stacks, row, win, spec, first, rows)
+                assert block.shape == (rows * width, l - first, l)
+                assert np.array_equal(block,
+                                      np.concatenate(single[row:row + rows]))
+
+
+def test_window_estimates_reject_rows_outside_the_raster():
+    data = np.ones((3, 4, 2), dtype=complex)
+    for row, rows in ((-1, 1), (0, 0), (2, 3), (4, 1)):
+        with pytest.raises(ValueError, match="must lie in 0:4"):
+            window_estimates(data, row, 1, PluginSpec(), 0, rows)
+
+
 def test_window_estimates_reject_a_first_row_outside_the_stack():
     data = np.ones((3, 2, 2), dtype=complex)
     for first in (-1, 3):

@@ -413,7 +413,9 @@ def test_frob_update_raster_is_the_fit_of_its_plugin_rows(spec, threads):
 def test_update_reads_the_stacks_in_place_and_frob_fits_only_new_rows(
         monkeypatch, distance):
     """No (l, height, width) copy of both stacks is made; a Frobenius update
-    fits (B, k, l) rows and a spectral one whole (B, l, l) plug-ins."""
+    fits (B, k, l) rows, two raster rows a fit, and a spectral one whole
+    (B, l, l) plug-ins, one raster row a fit; the fits cover each pixel
+    with a past once."""
     p, k, height, width = 5, 3, 6, 5
     full = random_image_stack(102, p + k, height, width)
     past, new = ImageStack(full.data[:p]), ImageStack(full.data[p:])
@@ -423,7 +425,7 @@ def test_update_reads_the_stacks_in_place_and_frob_fits_only_new_rows(
     real_fit, concatenate = seqlink.raster.fit, np.concatenate
 
     def recording_fit(sigma, *args):
-        fitted.append(sigma.shape[1:])
+        fitted.append(sigma.shape)
         return real_fit(sigma, *args)
 
     def recording_concatenate(arrays, *args, **kwargs):
@@ -436,8 +438,11 @@ def test_update_reads_the_stacks_in_place_and_frob_fits_only_new_rows(
     process_stack_sequential(new, past_raster, past, PluginSpec(), distance,
                              3, cfg)
     l = p + k
-    assert len(fitted) == height
-    assert set(fitted) == {(k, l) if distance == "frob" else (l, l)}
+    rows = 2 if distance == "frob" else 1
+    assert len(fitted) == height // rows
+    assert sum(shape[0] for shape in fitted) == (~past_raster.failed).sum()
+    assert {shape[1:] for shape in fitted} == {
+        (k, l) if distance == "frob" else (l, l)}
     assert (l, height, width) not in joined
 
 
@@ -465,6 +470,40 @@ def test_raster_output_does_not_depend_on_threads(distance):
     for offline, seq in runs[1:]:
         assert_same_raster(offline, runs[0][0])
         assert_same_raster(seq, runs[0][1])
+
+
+@pytest.mark.parametrize("distance", ["kl", "frob"])
+def test_raster_output_does_not_depend_on_the_block_size(monkeypatch,
+                                                         distance):
+    """Offline and sequential rasters, every grid, are the same bits with
+    one, three or all rows a block as with block_rows' own rule, at 1-3
+    threads: next to an empty corner, non-finite past and new entries and a
+    failed past pixel."""
+    p, k, win, height, width = 5, 3, 3, 8, 6
+    full = random_image_stack(103, p + k, height, width)
+    full.data[:, 6:, :2] = 0.0
+    full.data[1, 5, 4] = np.nan
+    full.data[p + 1, 2, 3] = np.inf
+    past, new = ImageStack(full.data[:p]), ImageStack(full.data[p:])
+    cfg = MMConfig(max_iters=12, tol=1e-12)
+    spec = PluginSpec("po", "shrink", beta=0.8)
+
+    def run(threads):
+        offline = process_stack_offline(past, spec, distance, win, cfg,
+                                        threads)
+        offline.data[:, 1, 1] = np.nan  # a failed past pixel
+        return offline, process_stack_sequential(new, offline, past, spec,
+                                                 distance, win, cfg, threads)
+
+    want = run(1)
+    for raster in want:
+        assert raster.undersampled.any() and raster.nonconverged.any()
+        assert 0 < raster.failed.sum() < height * width // 2
+    for rows in (1, 3, height):
+        monkeypatch.setattr(seqlink.raster, "block_rows", lambda *_: rows)
+        for threads in (1, 2, 3):
+            for got, expected in zip(run(threads), want):
+                assert_same_raster(got, expected)
 
 
 @pytest.mark.parametrize("win", [1, 2, 3])
