@@ -21,7 +21,6 @@ from .errors import ConfigError
 from .plugins import window_bounds
 from .raster import (
     ImageStack,
-    block_rows,
     noiseless_raster,
     process_stack_offline,
     process_stack_sequential,
@@ -147,13 +146,11 @@ def cmd_solve(args) -> int:
         past_raster = read_phase_raster(args.past_phases)
         past_stack = read_stack(args.past_stack)
         read_s += time.perf_counter() - start
-        p = past_stack.count
         start = time.perf_counter()
         raster = process_stack_sequential(
             stack, past_raster, past_stack, spec, args.distance,
             args.window, cfg, threads)
     else:
-        p = 0
         start = time.perf_counter()
         raster = process_stack_offline(
             stack, spec, args.distance, args.window, cfg, threads)
@@ -172,9 +169,8 @@ def cmd_solve(args) -> int:
         print(f"{failed} of {total} pixels failed; "
               f"{nonconverged} did not converge; "
               f"{undersampled} undersampled", file=sys.stderr)
-    rows = block_rows(stack.height, p + stack.count, p, args.distance,
-                      threads)
-    metrics = {"raster.block_rows": rows, "pixels.failed": failed,
+    metrics = {"raster.block_rows": raster.block_rows,
+               "pixels.failed": failed,
                "pixels.nonconverged": nonconverged,
                "pixels.undersampled": undersampled}
     solved = raster.iterations[~raster.failed]

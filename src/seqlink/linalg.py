@@ -148,20 +148,13 @@ def schur_factors(psi: np.ndarray, p: int,
                   jitter: float = DEFAULT_JITTER) -> SchurFactors:
     """Blockwise inverse of a real SPD coherence matrix split at column p,
     from one Cholesky check of the past block and one solve with it; no
-    p x p inverse is formed. At p = 0 the empty past block is skipped: D is
-    (psi + psiᵀ)/2, the same bits as the general path's N - QX
-    symmetrized, and d_inv is pd_inverse(psi) itself when psi is exactly
-    symmetric."""
+    p x p inverse is formed. At p = 0, d_inv is pd_inverse(psi), bit for bit
+    when psi is exactly symmetric."""
     blocks = partition(np.asarray(psi), p)
-    if not p:
-        d = blocks.new + blocks.new.mT
-        d /= 2
-        return SchurFactors(d_inv=pd_inverse(d, jitter), a_mat=blocks.cross,
-                            past=blocks.past, x=blocks.cross.mT)
     past = jittered_cholesky(blocks.past, jitter)[1]
     x = np.linalg.solve(past, blocks.cross.mT)
     d = blocks.new - blocks.cross @ x
-    d += d.mT
+    d += d.mT  # in place: at p = 0, d is as large as psi
     d /= 2
     d_inv = pd_inverse(d, jitter)
     return SchurFactors(d_inv=d_inv, a_mat=-d_inv @ x.mT, past=past, x=x)

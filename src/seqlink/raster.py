@@ -76,13 +76,16 @@ class PhaseRaster:
     samples than the stack depth; nonconverged marks pixels whose solver hit
     its iteration budget before the stopping rule held (phases kept, but not
     to tolerance); iterations holds each pixel's MM iteration count (0 where
-    nothing was solved).
+    nothing was solved). block_rows is the number of raster rows each fit
+    call took in the pass that made the raster (see raster.block_rows); 1
+    for a raster made any other way.
     """
 
     data: np.ndarray
     undersampled: np.ndarray = field(default=None)
     nonconverged: np.ndarray = field(default=None)
     iterations: np.ndarray = field(default=None)
+    block_rows: int = 1
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -192,16 +195,27 @@ def _window_masks(signal: np.ndarray, bad: np.ndarray, win: int, depth: int):
     return np.outer(r1 - r0, c1 - c0) < depth, unusable
 
 
-def block_rows(height: int, l: int, p: int, distance: str,
-               threads: int) -> int:
-    """Raster rows per block of a fit of l dates given p past phases, which
-    reads plug-in rows first: of l (solvers.first_fitted_row): as many as
-    keep the block's plug-in rows within the bytes of one row of whole
-    plug-ins, l // (l - first), and at most ceil(height / (2 threads)), so
-    that each worker has at least two blocks to take. A fit of whole
-    plug-ins (first = 0) takes one row a block."""
+# bytes of the fitted plug-in rows of one block of raster rows (see
+# block_rows): a fixed budget, so that a worker's memory does not grow with
+# the stack depth. On a 64-pixel-wide update of k = 5 of l = 40 dates it
+# gives 5 rows; larger blocks were no faster there and raised peak memory.
+BLOCK_BYTES = 2 ** 20
+
+
+def block_rows(height: int, width: int, l: int, p: int,
+               distance: str) -> int:
+    """Raster rows per block of a fit of l dates given p past phases, on a
+    raster of height x width pixels. A fit that reads plug-in rows first: of
+    l (solvers.first_fitted_row; a least-squares update) takes as many rows
+    as keep their fitted plug-in rows, width (l - first) l complex entries a
+    row, within BLOCK_BYTES, and at least one; the band, the fit's
+    temporaries and the output then scale with the same bytes. A fit of
+    whole plug-ins (first = 0) takes one row a block."""
     first = first_fitted_row(distance, p)
-    return min(l // (l - first), -(-height // (2 * threads)))
+    if not first:
+        return 1
+    row_bytes = width * (l - first) * l * np.dtype(complex).itemsize
+    return min(height, max(1, BLOCK_BYTES // row_bytes))
 
 
 def _process(stacks, past, win: int, spec: PluginSpec,
@@ -237,7 +251,7 @@ def _process(stacks, past, win: int, spec: PluginSpec,
     undersampled, unusable = _window_masks(signal, bad_grid, win, l)
     skipped = skip | unusable
     first = first_fitted_row(distance, len(past))
-    rows = block_rows(height, l, len(past), distance, threads)
+    rows = block_rows(height, width, l, len(past), distance)
     out = np.full((l - len(past), height, width), np.nan)
     iterations = np.zeros((height, width), dtype=int)
     nonconverged = np.zeros((height, width), dtype=bool)
@@ -258,7 +272,7 @@ def _process(stacks, past, win: int, spec: PluginSpec,
         nonconverged[start:stop][live] = ~batch.converged & ~lost
 
     _run_rows(-(-height // rows), worker, threads)
-    return PhaseRaster(out, undersampled, nonconverged, iterations)
+    return PhaseRaster(out, undersampled, nonconverged, iterations, rows)
 
 
 def process_stack_offline(

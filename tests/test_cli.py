@@ -380,8 +380,10 @@ def test_solve_manifest_times_each_stage(scene, tmp_path):
 def test_solve_manifest_records_the_rows_of_each_block(scene, tmp_path,
                                                        monkeypatch, distance):
     """An offline fit, and any spectral fit, takes one row a block; a
-    least-squares update of k = 2 of l = 6 dates takes l // k = 3 rows, at
-    most ceil(8 / (2 threads)), and the raster runs that many blocks."""
+    least-squares update of k = 2 of l = 6 dates on 8 x 8 pixels takes as
+    many rows as fit their 8 * 2 * 6 complex entries a row in BLOCK_BYTES,
+    at least one and at most all 8; the manifest records the rows of the
+    blocks that the raster ran."""
     blocks = []
     run_rows = seqlink.raster._run_rows
 
@@ -394,18 +396,20 @@ def test_solve_manifest_records_the_rows_of_each_block(scene, tmp_path,
     assert main(["solve", str(scene / "demo.slk.past.slk"), "--window", "4",
                  "--distance", distance, "--out", str(past)]) == 0
     assert read_manifest(f"{past}.manifest.txt")["raster.block_rows"] == "1"
-    for threads, frob_rows in ((1, 3), (2, 2), (5, 1)):
+    assert blocks == [8]
+    row_bytes = 8 * 2 * 6 * 16
+    for budget, frob_rows in ((1, 1), (3 * row_bytes + 5, 3), (2 ** 20, 8)):
+        monkeypatch.setattr(seqlink.raster, "BLOCK_BYTES", budget)
         rows = frob_rows if distance == "frob" else 1
-        out = tmp_path / f"seq{threads}.csv"
+        out = tmp_path / f"seq{budget}.csv"
         assert main(["solve", str(scene / "demo.slk.new.slk"), "--window",
                      "4", "--distance", distance, "--mode", "sequential",
                      "--past-phases", str(past), "--past-stack",
-                     str(scene / "demo.slk.past.slk"), "--threads",
-                     str(threads), "--out", str(out)]) == 0
+                     str(scene / "demo.slk.past.slk"), "--threads", "2",
+                     "--out", str(out)]) == 0
         manifest = read_manifest(f"{out}.manifest.txt")
         assert manifest["raster.block_rows"] == str(rows)
         assert blocks[-1] == -(-8 // rows)
-    assert blocks[0] == 8
 
 
 def test_bench_manifest_times_each_stage(tmp_path):

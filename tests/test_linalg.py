@@ -20,7 +20,6 @@ from seqlink import (
     reassemble,
     schur_factors,
 )
-from seqlink.linalg import jittered_cholesky
 
 
 def random_hermitian(rng, dim):
@@ -224,47 +223,6 @@ def test_schur_factors_at_zero_invert_the_whole_matrix_bit_for_bit():
         assert f.a_mat.shape == (4, 7, 0) and f.x.shape == (4, 0, 7)
     assert np.array_equal(assemble_block_inverse(schur_factors(psi[0], 0)),
                           pd_inverse(psi[0]))
-
-
-def general_schur_factors(psi, p, jitter):
-    """(d_inv, a_mat, x) by the general path, also at p = 0: one Cholesky
-    check of the past block, one solve with it, and D = N - QX symmetrized
-    in place."""
-    blocks = partition(psi, p)
-    past = jittered_cholesky(blocks.past, jitter)[1]
-    x = np.linalg.solve(past, blocks.cross.mT)
-    d = blocks.new - blocks.cross @ x
-    d += d.mT
-    d /= 2
-    d_inv = pd_inverse(d, jitter)
-    return d_inv, -d_inv @ x.mT, x
-
-
-@pytest.mark.parametrize("jitter", [0.0, 1e-9])
-def test_schur_factors_skip_an_empty_past_bit_for_bit(jitter):
-    """At p = 0 the factors equal the general path's, bit for bit, on a
-    stack and on each of its matrices: also for a matrix that is not exactly
-    symmetric and for a singular one, which only the jitter factors."""
-    rng = np.random.default_rng(17)
-    psi = np.array([abs_entrywise(random_cov(rng, 9)) for _ in range(5)])
-    psi[1] += 1e-13 * rng.standard_normal((9, 9))
-    psi[3] = np.ones((9, 9))
-    checked = 0
-    for one in [psi, psi[:3], *psi]:
-        try:
-            want = general_schur_factors(one, 0, jitter)
-        except NotPositiveDefinite:
-            with pytest.raises(NotPositiveDefinite):
-                schur_factors(one, 0, jitter)
-            continue
-        got = schur_factors(one, 0, jitter)
-        for value, expected in zip((got.d_inv, got.a_mat, got.x), want):
-            assert value.shape == expected.shape
-            assert np.array_equal(value, expected)
-        assert got.past.shape == one.shape[:-2] + (0, 0)
-        checked += 1
-    # without jitter, the singular matrix and the whole stack raise
-    assert checked == (7 if jitter else 5)
 
 
 def test_schur_factors_two_by_two_closed_form():

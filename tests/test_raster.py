@@ -413,9 +413,9 @@ def test_frob_update_raster_is_the_fit_of_its_plugin_rows(spec, threads):
 def test_update_reads_the_stacks_in_place_and_frob_fits_only_new_rows(
         monkeypatch, distance):
     """No (l, height, width) copy of both stacks is made; a Frobenius update
-    fits (B, k, l) rows, two raster rows a fit, and a spectral one whole
-    (B, l, l) plug-ins, one raster row a fit; the fits cover each pixel
-    with a past once."""
+    fits (B, k, l) rows, two raster rows a fit when BLOCK_BYTES holds two
+    rows' width k l entries, and a spectral one whole (B, l, l) plug-ins,
+    one raster row a fit; the fits cover each pixel with a past once."""
     p, k, height, width = 5, 3, 6, 5
     full = random_image_stack(102, p + k, height, width)
     past, new = ImageStack(full.data[:p]), ImageStack(full.data[p:])
@@ -433,11 +433,13 @@ def test_update_reads_the_stacks_in_place_and_frob_fits_only_new_rows(
         joined.append(out.shape)
         return out
 
+    l = p + k
+    monkeypatch.setattr(seqlink.raster, "BLOCK_BYTES",
+                        2 * width * k * l * 16 + 15)
     monkeypatch.setattr(seqlink.raster, "fit", recording_fit)
     monkeypatch.setattr(np, "concatenate", recording_concatenate)
     process_stack_sequential(new, past_raster, past, PluginSpec(), distance,
                              3, cfg)
-    l = p + k
     rows = 2 if distance == "frob" else 1
     assert len(fitted) == height // rows
     assert sum(shape[0] for shape in fitted) == (~past_raster.failed).sum()
@@ -504,6 +506,25 @@ def test_raster_output_does_not_depend_on_the_block_size(monkeypatch,
         for threads in (1, 2, 3):
             for got, expected in zip(run(threads), want):
                 assert_same_raster(got, expected)
+
+
+def test_block_rows_keep_the_fitted_rows_within_a_fixed_budget():
+    """A least-squares update takes as many rows as fit BLOCK_BYTES, so a
+    deeper past takes fewer rows and never more memory: at 64 pixels a row
+    and k = 5, five rows at p = 35, one from p = 100 on; an offline or
+    spectral fit takes one row, a narrow raster all its rows."""
+    block_rows = seqlink.raster.block_rows
+    assert seqlink.raster.BLOCK_BYTES == 2 ** 20
+    assert block_rows(64, 64, 40, 35, "frob") == 5
+    assert block_rows(64, 64, 65, 60, "frob") == 3
+    for p in (100, 200, 400):
+        assert block_rows(300, 64, p + 5, p, "frob") == 1
+    assert block_rows(64, 64, 40, 35, "kl") == 1
+    assert block_rows(64, 64, 40, 0, "frob") == 1
+    assert block_rows(6, 5, 8, 5, "frob") == 6
+    for p, k in ((35, 5), (100, 5), (400, 5), (30, 30)):
+        rows = block_rows(1000, 64, p + k, p, "frob")
+        assert rows == 1 or rows * 64 * k * (p + k) * 16 <= 2 ** 20
 
 
 @pytest.mark.parametrize("win", [1, 2, 3])
