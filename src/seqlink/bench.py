@@ -18,7 +18,7 @@ count or scheduling order either.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -94,8 +94,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MseRow:
-    """One aggregated CSV row of an MSE experiment; nonconverged (not in the
-    CSV) counts its kept trials with a fit that hit the iteration budget."""
+    """One aggregated CSV row of an MSE experiment. Not in the CSV:
+    nonconverged counts its kept trials with a fit that hit the iteration
+    budget, and iterations holds the iteration counts of their fits, every
+    link of the arm's chain, trial by trial."""
 
     mode: str
     distance: str
@@ -107,6 +109,7 @@ class MseRow:
     mse: float
     stderr: float
     nonconverged: int = 0
+    iterations: tuple[int, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.mse < 0 or self.stderr < 0:
@@ -160,20 +163,23 @@ def _raw_plugins(cfg, sigma_true, root, sim, trials):
 def _fit(cfg, sigma, w_past):
     """Each row of a (T, d, d) plug-in stack fitted given its (T, p) past
     phases (see solvers.fit): its past phases then the new ones, or NaN where
-    a solve failed or the past holds NaN; and a (T,) mask of the rows whose
-    fit ran without converging. fit never writes sigma, so it reads sigma
+    a solve failed or the past holds NaN; a (T,) mask of the rows whose fit
+    ran without converging; and the (T,) iterations of each row's fit, 0
+    where none ran. fit never writes sigma, so it reads sigma
     itself (say, a view of the trials' whole plug-ins) when every past is
     usable, and a copy of the usable rows otherwise."""
     p = w_past.shape[-1]
     out = np.full((len(sigma), sigma.shape[-1]), np.nan, dtype=complex)
     out[:, :p] = w_past
     stalled = np.zeros(len(sigma), dtype=bool)
+    iterations = np.zeros(len(sigma), dtype=int)
     ok = ~np.isnan(w_past).any(axis=1)
     if ok.any():
         batch = fit(sigma if ok.all() else sigma[ok], MMConfig(),
                     cfg.distance, w_past[ok])
         out[ok, p:], stalled[ok] = batch.phases, ~batch.converged
-    return out, stalled
+        iterations[ok] = batch.iterations
+    return out, stalled, iterations
 
 
 def _arms(cfg: ExperimentConfig):
@@ -220,10 +226,11 @@ def _scored_errors(theta_hat: np.ndarray, w_true: np.ndarray,
 
 
 def _arm_errors(cfg: ExperimentConfig, n: int, threads: int) -> dict:
-    """Per arm of the mode, the per-trial errors at one sample size and the
-    mask of kept trials with a fit in the arm's chain that did not converge.
-    All arms share each trial's draw, and a trial that fails in any arm is
-    excluded (NaN) from every arm."""
+    """Per arm of the mode, the per-trial errors at one sample size, the
+    mask of kept trials with a fit in the arm's chain that did not converge,
+    and the (trials, links) iterations of each kept trial's fits (0 for an
+    excluded trial). All arms share each trial's draw, and a trial that
+    fails in any arm is excluded (NaN) from every arm."""
     arms, first = _arms(cfg)
     sim = replace(cfg.sim, n=n)
     _, w_true, sigma_true = ground_truth(cfg.sim)
@@ -231,6 +238,8 @@ def _arm_errors(cfg: ExperimentConfig, n: int, threads: int) -> dict:
     root = matrix_sqrt(sigma_true)
     errors = {arm: np.full(cfg.trials, np.nan) for arm in arms}
     stalled = {arm: np.zeros(cfg.trials, dtype=bool) for arm in arms}
+    iterations = {arm: np.zeros((cfg.trials, len(chain)), dtype=int)
+                  for arm, chain in arms.items()}
     # contiguous chunks of the trial indices, one per worker thread
     chunks = [chunk for chunk in np.array_split(np.arange(cfg.trials), threads)
               if chunk.size]
@@ -241,21 +250,24 @@ def _arm_errors(cfg: ExperimentConfig, n: int, threads: int) -> dict:
         fits = {}
         for arm, chain in arms.items():
             phases, any_stalled = np.ones((len(trials), 0)), False  # offline
+            links = []
             for bound in chain:
                 sigma = full[:, :bound, :bound]
-                phases, link_stalled = _fit(cfg, regularize(sigma, cfg.plugin),
-                                            phases)
+                phases, link_stalled, link_iterations = _fit(
+                    cfg, regularize(sigma, cfg.plugin), phases)
                 any_stalled = any_stalled | link_stalled
-            fits[arm] = phases, any_stalled
+                links.append(link_iterations)
+            fits[arm] = phases, any_stalled, np.stack(links, axis=1)
         kept = ~np.any([np.isnan(rows).any(axis=1)
-                        for rows, _ in fits.values()], axis=0)
-        for arm, (rows, any_stalled) in fits.items():
+                        for rows, _, _ in fits.values()], axis=0)
+        for arm, (rows, any_stalled, link_iterations) in fits.items():
             errors[arm][trials[kept]] = _scored_errors(rows[kept], w_true,
                                                        first)
             stalled[arm][trials[kept]] = any_stalled[kept]
+            iterations[arm][trials[kept]] = link_iterations[kept]
 
     _run_rows(len(chunks), worker, threads)
-    return {arm: (errors[arm], stalled[arm]) for arm in arms}
+    return {arm: (errors[arm], stalled[arm], iterations[arm]) for arm in arms}
 
 
 def trial_errors(cfg: ExperimentConfig, n: int, threads: int = 1) -> np.ndarray:
@@ -263,12 +275,13 @@ def trial_errors(cfg: ExperimentConfig, n: int, threads: int = 1) -> np.ndarray:
     trials); offline/sequential measure the first-to-last phase difference."""
     if cfg.mode == "multiblock":
         raise ValueError("use mc_mse_experiment for multiblock configs")
-    ((errors, _),) = _arm_errors(cfg, n, threads).values()
+    ((errors, _, _),) = _arm_errors(cfg, n, threads).values()
     return errors
 
 
 def _aggregate(cfg: ExperimentConfig, mode_label: str, n: int,
-               errors: np.ndarray, nonconverged: int = 0) -> MseRow:
+               errors: np.ndarray, nonconverged: int = 0,
+               iterations: tuple[int, ...] = ()) -> MseRow:
     kept = errors[~np.isnan(errors)]
     excluded = int(cfg.trials - kept.size)
     if kept.size == 0:
@@ -281,15 +294,17 @@ def _aggregate(cfg: ExperimentConfig, mode_label: str, n: int,
     return MseRow(mode=mode_label, distance=cfg.distance, estimator=estimator,
                   regularizer=regularizer, n=n, trials=cfg.trials,
                   excluded=excluded, mse=mse, stderr=stderr,
-                  nonconverged=nonconverged)
+                  nonconverged=nonconverged, iterations=iterations)
 
 
 def mc_mse_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[MseRow]:
     """MSE rows over cfg.n_grid (sorted ascending): one per sample size and
     arm of the mode (see _arms), the arms in order within each size."""
-    return [_aggregate(cfg, arm, n, errors, int(stalled.sum()))
+    return [_aggregate(cfg, arm, n, errors, int(stalled.sum()),
+                       tuple(iterations[~np.isnan(errors)].ravel().tolist()))
             for n in sorted(cfg.n_grid)
-            for arm, (errors, stalled) in _arm_errors(cfg, n, threads).items()]
+            for arm, (errors, stalled, iterations)
+            in _arm_errors(cfg, n, threads).items()]
 
 
 def timing_experiment(

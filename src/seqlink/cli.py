@@ -106,6 +106,20 @@ def _truth_metrics(raster, truth_angles, mode, win):
     }
 
 
+def _iteration_stats(prefix: str, counts) -> dict:
+    """Manifest entries iterations.p50 and iterations.max (after prefix)
+    over fit iteration counts, "nan" if there are none. The median is taken
+    in Python: a process's first numpy sort maps about 0.5 MB of sort
+    kernels, which a bench run would otherwise add to its peak RSS."""
+    counts = sorted(map(int, counts))
+    if not counts:
+        return {f"{prefix}iterations.p50": "nan",
+                f"{prefix}iterations.max": "nan"}
+    half = len(counts) // 2
+    return {f"{prefix}iterations.p50": repr((counts[half] + counts[~half]) / 2),
+            f"{prefix}iterations.max": counts[-1]}
+
+
 def cmd_solve(args) -> int:
     threads = _at_least_one("threads", args.threads)
     _at_least_one("window", args.window)
@@ -173,10 +187,7 @@ def cmd_solve(args) -> int:
                "pixels.failed": failed,
                "pixels.nonconverged": nonconverged,
                "pixels.undersampled": undersampled}
-    solved = raster.iterations[~raster.failed]
-    metrics["iterations.p50"] = (repr(float(np.median(solved)))
-                                 if solved.size else "nan")
-    metrics["iterations.max"] = int(solved.max()) if solved.size else "nan"
+    metrics.update(_iteration_stats("", raster.iterations[~raster.failed]))
     if args.truth:
         truth_angles = read_truth_csv(args.truth)
         metrics.update(_truth_metrics(raster, truth_angles, args.mode,
@@ -201,10 +212,14 @@ def cmd_bench(args) -> int:
         "blas.pinned": "yes" if blas_pinnable() else "no",
         "output.csv": out,
     }, echo)
-    rows = []
+    rows, iterations = [], {}
     start = time.perf_counter()
-    for cfg in configs:
-        rows.extend(mc_mse_experiment(cfg, threads))
+    for index, cfg in enumerate(configs):
+        experiment = mc_mse_experiment(cfg, threads)
+        rows.extend(experiment)
+        iterations.update(_iteration_stats(
+            f"experiment_{index}.",
+            [count for row in experiment for count in row.iterations]))
     fit_s = time.perf_counter() - start
     start = time.perf_counter()
     with open(out, "w") as fh:
@@ -215,6 +230,7 @@ def cmd_bench(args) -> int:
         print(f"{nonconverged} kept trials had a fit that did not converge",
               file=sys.stderr)
     append_manifest(manifest, {"rows": len(rows), "fits.nonconverged": nonconverged,
+                               **iterations,
                                "timing.fit_s": repr(fit_s),
                                "timing.write_s": repr(write_s),
                                "status": "ok"})

@@ -18,13 +18,17 @@ coordinates honest fixed points).
 
 The least-squares form converges in tens of plain MM steps. The spectral-fit
 (KL) form shifts its steps by the exact largest eigenvalue and adds
-restarted momentum, which cuts its iteration counts from thousands to about
-a hundred at l=40. With an empty past it starts from the EMI estimate, the
+restarted momentum, which cuts its iteration counts from thousands to
+about 65 at l=40. With an empty past it starts from the EMI estimate, the
 phase of the smallest eigenvector of Ψ⁻¹∘Σ (Ansari, De Zan & Bamler, IEEE
 TGRS 2018); that start and anchoring to the first date are all an empty past
 changes. fit runs either objective on a stack of plug-ins; the raster and
 the Monte Carlo bench solve through it, and the solve_* functions are its
 one-problem forms, with cost traces.
+
+Every fit stops once its cost change reaches the rounding scale of its own
+terms: the sum S of the moduli of its bordered matrix, which the term
+builders return beside it (see MMConfig).
 """
 from __future__ import annotations
 
@@ -69,14 +73,25 @@ def first_fitted_row(distance: str, p: int) -> int:
 class MMConfig:
     """Iteration budget and stopping rule for the MM loops.
 
-    Stops when |cost_t - cost_{t-1}| <= tol * max(1, |cost_t|), or at
-    max_iters; cost_t leaves out a sequential problem's constant past term.
-    init=None starts a spectral fit with an empty past from the EMI estimate
-    and every other fit from the all-ones (zero phase) vector.
+    Stops when |cost_t - cost_{t-1}| <= tol * max(1, S), or at max_iters;
+    cost_t leaves out a sequential problem's constant past term. S is the
+    sum of the moduli of the problem's bordered matrix [[H, b], [bᴴ, 0]]
+    (see torus_mm), Σ|H_ij| + 2Σ|b_i|. The cost is a sum of those terms
+    times unit-modulus factors, so S bounds |cost| at every torus point,
+    and its rounding error is of order (k+1)·ε·S (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, §3.1). A rule relative to
+    |cost| asks an offline spectral fit at forty dates, whose cost is about
+    40 against an S of about 1.3e4, for changes some 300 times below what
+    the arithmetic resolves; a least-squares fit's |cost| is about S. Any
+    tol stops no later than the same tol relative to max(1, |cost_t|), and
+    tol = 0 runs to a literal fixed point. init=None starts a spectral fit
+    with an empty past from the EMI estimate and every other fit from the
+    all-ones (zero phase) vector.
 
     The default budget, which `solve` and the bench fit with, is headroom:
-    a spectral fit takes about a hundred iterations at rho = 0.98 and forty
-    dates, and results should measure the estimator, not early stopping.
+    an offline spectral fit takes about 65 iterations on average, and at
+    most about 90, at rho = 0.98 and forty dates, and results should
+    measure the estimator, not early stopping.
     """
 
     max_iters: int = 10000
@@ -149,10 +164,10 @@ class BatchReport:
     cost_trace: np.ndarray | None = None
 
 
-def _stopped_each(gain, prev, tol: float, live):
-    """Mask of the live problems whose cost settled under MMConfig's rule,
-    or None if none did."""
-    done = np.abs(gain - prev) <= tol * np.maximum(1.0, np.abs(gain))
+def _stopped_each(gain, prev, bound, live):
+    """Mask of the live problems whose cost changed by at most their bound,
+    tol * max(1, S) under MMConfig's rule, or None if none did."""
+    done = np.abs(gain - prev) <= bound
     done &= live
     return done if np.count_nonzero(done) else None
 
@@ -171,17 +186,19 @@ def _shifted_step(mat, shift, w, u):
 
 
 def torus_mm(mat, cfg: MMConfig = MMConfig(), trace: bool = False,
-             *, shift=None, w0=None) -> BatchReport:
+             *, scale, shift=None, w0=None) -> BatchReport:
     """MM on a stack of B problems at once.
 
     Problem i minimizes -Re(wᴴ(H_i w + 2 b_i)) over the torus, given as the
     bordered matrix mat_i = [[H_i, b_i], [b_iᴴ, 0]] of a (B, k+1, k+1)
     stack, with H_i Hermitian: with w̃ = (w, 1), the one product mat w̃ per
     iterate holds the next step's H w + b, and w̃ᴴ mat w̃ is the negated
-    cost. frob_seq_terms and kl_seq_terms build such stacks; mat is read,
-    never written. Each step minimizes the linearization at the iterate,
-    w⁺ = Φ(s w + H w + b), which majorizes the cost whenever sI + H is
-    positive semidefinite; a zero coefficient keeps the previous iterate.
+    cost. frob_seq_terms and kl_seq_terms build such stacks and, with them,
+    scale (B,): each problem's S = Σ|mat_i| of MMConfig's rule. mat is
+    read, never written. Each step minimizes the linearization at the
+    iterate, w⁺ = Φ(s w + H w + b), which majorizes the cost whenever
+    sI + H is positive semidefinite; a zero coefficient keeps the previous
+    iterate.
 
     shift None is the least-squares form (H positive semidefinite, s = 0),
     run as plain steps. With shift (B,), s_i = shift_i, and each step first
@@ -193,8 +210,9 @@ def torus_mm(mat, cfg: MMConfig = MMConfig(), trace: bool = False,
     monotone, and since β = 0 at t = 1 the first step is always the plain
     one.
 
-    Problems start from w0 (B, k) when given, else from cfg's start vector,
-    and each stops under MMConfig's rule on its own cost, with its result
+    Problems start from w0 (B, k) when given, else from cfg's start vector.
+    Each stops under MMConfig's rule once its cost changes by at most its
+    bound tol * max(1, S), formed before the first step, and its result is
     recorded at its stopping step. Stopped problems stay in the stack,
     masked, until at least half of the rows it carries have stopped; then
     the stack is compacted to the running ones, so it is copied a few times
@@ -212,6 +230,7 @@ def torus_mm(mat, cfg: MMConfig = MMConfig(), trace: bool = False,
     converged = np.zeros(count, dtype=bool)
     active = np.arange(count)  # the problem each stack row holds
     live = np.ones(count, dtype=bool)  # stack rows not yet stopped
+    bound = cfg.tol * np.maximum(1.0, scale)
     u = np.matvec(mat, w)
     gain = np.vecdot(w, u).real
     costs = [-gain] if trace else None
@@ -250,7 +269,7 @@ def torus_mm(mat, cfg: MMConfig = MMConfig(), trace: bool = False,
             row = np.full(count, np.nan)  # NaN for problems that have stopped
             row[active[live]] = -gain[live]
             costs.append(row)
-        done = _stopped_each(gain, prev, cfg.tol, live)
+        done = _stopped_each(gain, prev, bound, live)
         if done is not None:
             finished = active[done]
             phases[finished] = w[done, :dim]
@@ -258,8 +277,8 @@ def torus_mm(mat, cfg: MMConfig = MMConfig(), trace: bool = False,
             converged[finished] = True
             live &= ~done
             if 2 * np.count_nonzero(live) <= live.size:
-                active, mat, w, u, gain = (
-                    x[live] for x in (active, mat, w, u, gain))
+                active, mat, w, u, gain, bound = (
+                    x[live] for x in (active, mat, w, u, gain, bound))
                 if shift is not None:
                     shift, t, w_prev = shift[live], t[live], w_prev[live]
                 live = live[live]
@@ -300,7 +319,8 @@ def _bordered(b) -> np.ndarray:
 
 def kl_seq_terms(blocks: BlockCov, factors: SchurFactors, w_past):
     """torus_mm's bordered stack for the sequential spectral-fit problem,
-    which is torus_mm(mat) shifted by λ_max(M), and M itself.
+    which is torus_mm(mat) shifted by λ_max(M), M itself, and each
+    problem's scale S = Σ|M_ij| + 2Σ|n_i|.
 
     The block objective w_pastᴴ(F⁻¹∘Σ_p)w_past + 2Re(w̄ᴴ(A∘Σ_pn)w_past)
     + w̄ᴴ(D⁻¹∘Σ_n)w̄ is c - 2Re(w̄ᴴn) + w̄ᴴMw̄ with M = D⁻¹∘Σ_n and
@@ -314,11 +334,14 @@ def kl_seq_terms(blocks: BlockCov, factors: SchurFactors, w_past):
     n_vec = np.matvec(hadamard(-factors.a_mat, blocks.cross), w_past)
     mat = _bordered(n_vec)
     np.negative(m_mat, out=mat[..., :-1, :-1])
-    return mat, m_mat
+    scale = (np.abs(m_mat).sum(axis=(-2, -1))
+             + 2.0 * np.abs(n_vec).sum(axis=-1))
+    return mat, m_mat, scale
 
 
 def frob_seq_terms(cross, new, w_past):
-    """torus_mm's bordered stack for the sequential least-squares problem.
+    """torus_mm's bordered stack for the sequential least-squares problem,
+    and each problem's scale S = 2Σ|Σ_n,ij|² + 2Σ|b_i|.
 
     The block objective -2[wᴴ(|Σ_p|∘Σ_p)w + 2Re(w̄ᴴ(|Σ_pn|∘Σ_pn)w)
     + w̄ᴴ(|Σ_n|∘Σ_n)w̄] is a constant past term plus torus_mm's form with
@@ -326,15 +349,19 @@ def frob_seq_terms(cross, new, w_past):
     enters only the constant, so it is not read. H is built straight into
     the stack's top-left block, so cross and new are not written. With an
     empty past (p = 0), H = 2(|Σ|∘Σ) and b = 0. Blocks may carry a leading
-    stack axis (with w_past (B, p)).
+    stack axis (with w_past (B, p)). S sums |H_ij| = 2|Σ_n,ij|² from the
+    moduli H is built from, as one dot product per problem.
     """
     w_past = np.asarray(w_past, dtype=complex)
     b = 2.0 * np.matvec(hadamard(abs_entrywise(cross), cross), w_past)
     mat = _bordered(b)
     h = mat[..., :-1, :-1]
-    np.multiply(new, abs_entrywise(new), out=h)
+    mod = abs_entrywise(new)
+    np.multiply(new, mod, out=h)
     h *= 2.0
-    return mat
+    mod = mod.reshape(mod.shape[:-2] + (-1,))
+    scale = 2.0 * (np.vecdot(mod, mod) + np.abs(b).sum(axis=-1))
+    return mat, scale
 
 
 def _solve(distance, blocks: BlockCov, factors, w_past, cfg,
@@ -351,10 +378,10 @@ def _solve(distance, blocks: BlockCov, factors, w_past, cfg,
     the first date.
     """
     if distance == "frob":
-        mat = frob_seq_terms(blocks.cross, blocks.new, w_past)
+        mat, scale = frob_seq_terms(blocks.cross, blocks.new, w_past)
         shift = w0 = None
     else:
-        mat, m_mat = kl_seq_terms(blocks, factors, w_past)
+        mat, m_mat, scale = kl_seq_terms(blocks, factors, w_past)
         del factors  # lets D⁻¹ and |Σ| go before the MM if no caller keeps them
         if blocks.p:
             shift, w0 = largest_eigenvalue(m_mat), None
@@ -364,7 +391,7 @@ def _solve(distance, blocks: BlockCov, factors, w_past, cfg,
             w0 = phase_project(vecs[..., 0]) if cfg.init is None else None
             del vecs
         del m_mat  # mat holds -M: M and its eigenvectors go before the MM
-    batch = torus_mm(mat, cfg, trace, shift=shift, w0=w0)
+    batch = torus_mm(mat, cfg, trace, scale=scale, shift=shift, w0=w0)
     if not blocks.p:
         batch.phases = anchor_reference(batch.phases)
     return batch

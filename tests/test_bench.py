@@ -168,6 +168,35 @@ def test_fits_that_hit_their_budget_are_counted(monkeypatch, tmp_path,
     assert f"{count} kept trials had a fit" in capsys.readouterr().err
 
 
+def test_bench_manifest_records_each_experiments_fit_iterations(tmp_path):
+    """Each row holds the iterations of its kept trials' fits, one per link
+    of the arm's chain; the bench manifest gives their median and maximum
+    per experiment, as the solve manifest does per pixel."""
+    config = tmp_path / "bench.cfg"
+    config.write_text("l=6\np=4\nk=2\nrho=0.9\ntrials=8\nn_grid=24\n"
+                      "master_seed=3\n\n[experiment]\nmode=sequential\n\n"
+                      "[experiment]\ndistance=frob\nmode=multiblock\n"
+                      "sizes=2,2,2\n")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(config), "--out", str(out)]) == 0
+    record = read_manifest(f"{out}.manifest.txt")
+    links = {"offline": 1, "sequential": 2, "chained": 3}
+    experiments = (
+        small_cfg(mode="sequential", n_grid=(24,), master_seed=3),
+        small_cfg(distance="frob", mode="multiblock", sizes=(2, 2, 2),
+                  n_grid=(24,), master_seed=3))
+    for index, cfg in enumerate(experiments):
+        counts = []
+        for row in mc_mse_experiment(cfg):
+            assert len(row.iterations) == ((row.trials - row.excluded)
+                                           * links[row.mode])
+            assert min(row.iterations) >= 1
+            counts += row.iterations
+        prefix = f"experiment_{index}.iterations."
+        assert record[prefix + "p50"] == repr(float(np.median(counts)))
+        assert record[prefix + "max"] == str(max(counts))
+
+
 def test_mse_row_csv_line_and_header():
     row = MseRow(mode="offline", distance="kl", estimator="scm",
                  regularizer="none", n=64, trials=200, excluded=1,

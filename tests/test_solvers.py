@@ -68,6 +68,16 @@ def bordered(h, b):
     return mat
 
 
+def moduli(mat):
+    """Σ|mat_ij| of each bordered matrix of a stack: MMConfig's S."""
+    return np.abs(mat).sum(axis=(-2, -1))
+
+
+def run_mm(mat, cfg, trace=False, **kwargs):
+    """torus_mm with each problem's S read off its bordered matrix."""
+    return torus_mm(mat, cfg, trace, scale=moduli(mat), **kwargs)
+
+
 TIGHT = MMConfig(max_iters=1000, tol=1e-15)
 
 
@@ -203,7 +213,7 @@ def test_kl_seq_terms_read_only_d_inv_and_a():
     sigma = scm(random_stack(rng, 18, 6)) + 0.2 * np.eye(6)
     blocks, factors = seq_inputs(sigma, 4)
     w_past = random_torus(rng, 4)
-    mat, m_mat = kl_seq_terms(blocks, factors, w_past)
+    mat, m_mat, _ = kl_seq_terms(blocks, factors, w_past)
     assert np.array_equal(m_mat, factors.d_inv * blocks.new)
     assert np.array_equal(mat[:2, :2], -m_mat)
     n_vec = mat[:2, 2]
@@ -503,8 +513,8 @@ def frob_problems(rng, count, k=6, p=5):
             bs.append(np.zeros(k))
         else:
             blocks = partition(sigma, p)
-            mat = frob_seq_terms(blocks.cross, blocks.new,
-                                 random_torus(rng, p))
+            mat, _ = frob_seq_terms(blocks.cross, blocks.new,
+                                    random_torus(rng, p))
             hs.append(mat[:k, :k])
             bs.append(mat[:k, k])
     return np.array(hs), np.array(bs)
@@ -515,14 +525,14 @@ def test_frob_mm_result_does_not_depend_on_the_batch():
     h, b = frob_problems(rng, 12)
     # a budget that some problems exhaust and others do not
     cfg = MMConfig(max_iters=300, tol=1e-8)
-    alone = [torus_mm(bordered(h[i:i + 1], b[i:i + 1]), cfg, trace=True)
+    alone = [run_mm(bordered(h[i:i + 1], b[i:i + 1]), cfg, trace=True)
              for i in range(12)]
     assert len({int(a.iterations[0]) for a in alone}) > 3
     assert {bool(a.converged[0]) for a in alone} == {True, False}
     batches = [np.arange(12), np.arange(12)[::-1], rng.permutation(12)[:5],
                np.array([3, 3, 7]), rng.permutation(12)[:2]]
     for members in batches:
-        batch = torus_mm(bordered(h[members], b[members]), cfg, trace=True)
+        batch = run_mm(bordered(h[members], b[members]), cfg, trace=True)
         for j, i in enumerate(members):
             assert np.array_equal(batch.phases[j], alone[i].phases[0])
             assert batch.iterations[j] == alone[i].iterations[0]
@@ -541,10 +551,11 @@ def test_frob_mm_cost_trace_never_rises_and_is_the_objective():
         sigmas = [scm(random_stack(rng, 2 * (k + p), k + p)) for _ in range(6)]
         w_past = np.array([random_torus(rng, p) for _ in sigmas])
         blocks = [partition(s, p) for s in sigmas]
-        mat = frob_seq_terms(np.array([bl.cross for bl in blocks]),
-                             np.array([bl.new for bl in blocks]), w_past)
+        mat, scale = frob_seq_terms(np.array([bl.cross for bl in blocks]),
+                                    np.array([bl.new for bl in blocks]),
+                                    w_past)
         cfg = MMConfig(max_iters=40, tol=0.0, init=random_torus(rng, k))
-        batch = torus_mm(mat, cfg, trace=True)
+        batch = torus_mm(mat, cfg, trace=True, scale=scale)
         for j, bl in enumerate(blocks):
             # torus_mm leaves out the constant past term; add it back
             const = -2.0 * quad_form(w_past[j],
@@ -560,8 +571,8 @@ def test_frob_mm_keeps_the_previous_iterate_on_zero_coefficients():
     h = np.zeros((2, 3, 3), dtype=complex)
     h[:, :2, :2] = [[2.0, 1.0], [1.0, 2.0]]
     start = np.exp(1j * np.array([0.3, -0.2, 1.1]))
-    batch = torus_mm(bordered(h, 0.0),
-                     MMConfig(max_iters=50, tol=1e-14, init=start))
+    batch = run_mm(bordered(h, 0.0),
+                   MMConfig(max_iters=50, tol=1e-14, init=start))
     assert np.array_equal(batch.phases[:, 2], np.full(2, start[2]))
     assert batch.converged.all()
 
@@ -569,14 +580,17 @@ def test_frob_mm_keeps_the_previous_iterate_on_zero_coefficients():
 def reference_plain_mm(h, b, cfg):
     """Plain least-squares MM on one problem, written out step by step:
     the bordered matrix [[H, b], [bᴴ, 0]], w⁺ = Φ(H w + b) keeping w on
-    zero coefficients, and MMConfig's stopping rule. The arithmetic torus_mm
-    must keep without a shift. Returns (phases, iterations, converged)."""
+    zero coefficients, and MMConfig's stopping rule, |Δcost| <= tol·max(1,
+    S) with S the sum of the moduli of the bordered matrix. The arithmetic
+    torus_mm must keep without a shift. Returns (phases, iterations,
+    converged)."""
     dim = len(h)
     mat = np.empty((1, dim + 1, dim + 1), dtype=complex)
     mat[0, :dim, :dim] = h
     mat[0, :dim, dim] = b
     mat[0, dim, :dim] = np.conj(b)
     mat[0, dim, dim] = 0.0
+    bound = cfg.tol * max(1.0, np.abs(mat).sum())
     w = np.ones((1, dim + 1), dtype=complex)
     if cfg.init is not None:
         w[0, :dim] = cfg.init
@@ -588,7 +602,7 @@ def reference_plain_mm(h, b, cfg):
         np.divide(v, mod, out=w[:, :dim], where=mod > 0)
         u = np.matvec(mat, w)
         prev, gain = gain, np.vecdot(w, u).real[0]
-        if abs(gain - prev) <= cfg.tol * max(1.0, abs(gain)):
+        if abs(gain - prev) <= bound:
             return w[0, :dim], step, True
     return w[0, :dim], cfg.max_iters, False
 
@@ -598,13 +612,91 @@ def test_frob_mm_without_shift_is_the_reference_plain_mm():
     h, b = frob_problems(rng, 12)
     for cfg in (MMConfig(max_iters=300, tol=1e-8),
                 MMConfig(max_iters=40, tol=0.0, init=random_torus(rng, 6))):
-        batch = torus_mm(bordered(h, b), cfg)
+        batch = run_mm(bordered(h, b), cfg)
         for i in range(12):
             phases, iterations, converged = reference_plain_mm(h[i], b[i],
                                                                cfg)
             assert np.array_equal(batch.phases[i], phases)
             assert batch.iterations[i] == iterations
             assert batch.converged[i] == converged
+
+
+# ---------------------------------------------------------------------------
+# the stopping rule: |Δcost| <= tol·max(1, S), S = Σ|mat_ij|
+
+
+@pytest.mark.parametrize("p", [0, 4])
+def test_term_builders_return_the_moduli_of_their_stacks(p):
+    """Each builder's S is the sum of the moduli of the bordered stack it
+    builds, to rounding: the spectral fit's, and the least-squares fit's
+    from whole plug-ins and from their last rows."""
+    rng = np.random.default_rng(83)
+    l, count = 9, 6
+    sigma = np.array([scm(random_stack(rng, 3 * l, l)) for _ in range(count)])
+    w_past = np.array([random_torus(rng, p) for _ in range(count)])
+    blocks, rows = partition(sigma, p), partition(sigma[:, p:], p)
+    mat, _, scale = kl_seq_terms(
+        blocks, schur_factors(abs_entrywise(sigma), p), w_past)
+    built = [(mat, scale)] + [frob_seq_terms(bl.cross, bl.new, w_past)
+                              for bl in (blocks, rows)]
+    for mat, scale in built:
+        assert mat.shape == (count, l - p + 1, l - p + 1)
+        assert np.allclose(scale, moduli(mat), rtol=1e-13, atol=0.0)
+
+
+def cost_relative_stop(tol):
+    """_stopped_each under the rule S replaced, |Δcost| <= tol·max(1,
+    |cost|), which ignores the bound it is given."""
+    def stopped(gain, prev, bound, live):
+        done = np.abs(gain - prev) <= tol * np.maximum(1.0, np.abs(gain))
+        done &= live
+        return done if done.any() else None
+    return stopped
+
+
+def test_no_fit_takes_more_iterations_than_under_a_cost_relative_rule(
+        monkeypatch):
+    """S bounds |cost| on the torus, so no problem stops later than under a
+    rule relative to its cost; the spectral fits, whose costs are far below
+    their S, stop earlier."""
+    rng = np.random.default_rng(84)
+    l, p, count = 12, 8, 16
+    sigma = np.array([estimate(random_stack(rng, 2 * l, l),
+                               PluginSpec("po" if i % 2 else "scm"))
+                      for i in range(count)])
+    w_past = np.array([random_torus(rng, p) for _ in range(count)])
+    cfg = MMConfig(tol=1e-14)
+    cases = [(distance, past) for distance in ("kl", "frob")
+             for past in (None, w_past)]
+    new = [fit(sigma, cfg, distance, past) for distance, past in cases]
+    monkeypatch.setattr(seqlink.solvers, "_stopped_each",
+                        cost_relative_stop(cfg.tol))
+    old = [fit(sigma, cfg, distance, past) for distance, past in cases]
+    for (distance, _), ours, theirs in zip(cases, new, old):
+        assert ours.converged.all() and theirs.converged.all()
+        assert (ours.iterations <= theirs.iterations).all()
+        if distance == "kl":
+            assert ours.iterations.sum() < theirs.iterations.sum()
+
+
+def test_a_kl_fit_whose_cost_is_far_below_its_scale_stops_at_its_bound():
+    """An offline spectral fit at forty dates has |cost| well under one
+    percent of S; it stops at the first step whose cost change is within
+    tol·S, where a rule relative to |cost| would go on."""
+    sim = SimulationConfig(l=40, p=35, k=5, rho=0.98, n=64, seed=5)
+    _, _, sigma_true = ground_truth(sim)
+    sigma = scm(sample_stack(sigma_true, sim))
+    _, _, scale = kl_seq_terms(partition(sigma[None], 0),
+                               schur_factors(abs_entrywise(sigma[None]), 0),
+                               np.ones((1, 0)))
+    cfg = MMConfig(tol=1e-14)
+    report = solve_offline_kl(sigma, cfg)
+    changes = np.abs(np.diff(report.cost_trace))
+    assert report.converged
+    assert scale[0] > 100.0 * abs(report.cost_trace[-1])
+    assert np.flatnonzero(changes <= cfg.tol * scale[0])[0] == (
+        report.iterations - 1)
+    assert changes[-1] > cfg.tol * abs(report.cost_trace[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -631,13 +723,13 @@ def test_momentum_traces_never_rise_with_restarts_at_different_steps(
     restarts = []
     for i in range(count):
         calls.clear()
-        one = torus_mm(bordered(-h[i:i + 1], 0.0), cfg, shift=lam[i:i + 1],
-                       w0=starts[i:i + 1])
+        one = run_mm(bordered(-h[i:i + 1], 0.0), cfg, shift=lam[i:i + 1],
+                     w0=starts[i:i + 1])
         # one step per iteration, plus one plain step per restart
         restarts.append(len(calls) - int(one.iterations[0]))
     assert min(restarts) > 0 and len(set(restarts)) > 1
-    batch = torus_mm(bordered(-h, 0.0), cfg, trace=True, shift=lam,
-                     w0=starts)
+    batch = run_mm(bordered(-h, 0.0), cfg, trace=True, shift=lam,
+                   w0=starts)
     for j in range(count):
         trace = batch.cost_trace[:, j]
         trace = trace[~np.isnan(trace)]
@@ -679,8 +771,8 @@ def record_steps(monkeypatch):
 
 def assert_rows_are_single_solves(batch, h, b, shift, cfg):
     for i in range(len(h)):
-        one = torus_mm(bordered(h[i:i + 1], b[i:i + 1]), cfg, trace=True,
-                       shift=None if shift is None else shift[i:i + 1])
+        one = run_mm(bordered(h[i:i + 1], b[i:i + 1]), cfg, trace=True,
+                     shift=None if shift is None else shift[i:i + 1])
         steps = int(one.iterations[0]) + 1
         assert np.array_equal(batch.phases[i], one.phases[0])
         assert batch.iterations[i] == one.iterations[0]
@@ -705,7 +797,7 @@ def test_torus_mm_compaction_keeps_each_problem_its_single_solve(monkeypatch):
     h = np.concatenate([diagonal, h[1:3]])
     b = np.concatenate([np.zeros((fixed, dim)), b[1:3]])
     cfg = MMConfig(max_iters=400, tol=1e-14)
-    batch = torus_mm(bordered(h, b), cfg, trace=True)
+    batch = run_mm(bordered(h, b), cfg, trace=True)
     assert (batch.iterations[:fixed] == 1).all()
     assert (batch.iterations[fixed:] > 10).all()
     assert_rows_are_single_solves(batch, h, b, None, cfg)
@@ -719,8 +811,8 @@ def test_torus_mm_compaction_keeps_each_problem_its_single_solve(monkeypatch):
     stops, restarts = [], []
     for i in range(len(sigma)):
         finish = record_steps(monkeypatch)
-        one = torus_mm(bordered(-kl_h[i:i + 1], 0.0), cfg,
-                       shift=lam[i:i + 1])
+        one = run_mm(bordered(-kl_h[i:i + 1], 0.0), cfg,
+                     shift=lam[i:i + 1])
         stops.append(int(one.iterations[0]))
         restarts.append({n + 2 for n, sizes in enumerate(finish())
                          if len(sizes) == 2})
@@ -730,7 +822,7 @@ def test_torus_mm_compaction_keeps_each_problem_its_single_solve(monkeypatch):
     shift = np.concatenate([np.full(fixed, 2.0), lam[[y, z]]])
     b = np.zeros((len(h), dim))
     finish = record_steps(monkeypatch)
-    batch = torus_mm(bordered(h, 0.0), cfg, trace=True, shift=shift)
+    batch = run_mm(bordered(h, 0.0), cfg, trace=True, shift=shift)
     steps = finish()
     # compacted to y and z after step 1, to y alone after z's stop, which is
     # a step where y's momentum restarts
@@ -846,13 +938,13 @@ def direct_offline(sigma, distance, cfg):
     plain steps, or H = Ψ⁻¹∘Σ shifted by its largest eigenvalue from the
     EMI start; the phases anchored to date 0."""
     if distance == "frob":
-        batch = torus_mm(bordered(2.0 * abs_entrywise(sigma) * sigma, 0.0),
-                         cfg)
+        batch = run_mm(bordered(2.0 * abs_entrywise(sigma) * sigma, 0.0),
+                       cfg)
     else:
         h = pd_inverse(abs_entrywise(sigma)) * sigma
         vals, vecs = np.linalg.eigh(h)
-        batch = torus_mm(bordered(-h, 0.0), cfg, shift=vals[:, -1],
-                         w0=phase_project(vecs[..., 0]))
+        batch = run_mm(bordered(-h, 0.0), cfg, shift=vals[:, -1],
+                       w0=phase_project(vecs[..., 0]))
     batch.phases = anchor_reference(batch.phases)
     return batch
 
