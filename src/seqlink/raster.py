@@ -1,8 +1,8 @@
 """Whole-raster phase estimation.
 
-The raster is processed in blocks of consecutive rows (block_rows): one
-row a block when the fit reads whole plug-ins, several for a least-squares
-update. Each block builds every pixel's sliding-window plug-in in one pass
+The raster is processed in blocks of consecutive rows (block_rows), as
+many as keep a block's fitted plug-in rows within BLOCK_BYTES, for every
+fit. Each block builds every pixel's sliding-window plug-in in one pass
 (plugins.window_estimates), or only its new rows for a least-squares
 update, and solves all its pixels in one solvers.fit call, one stacked MM
 under either objective, given each pixel's past phases; an offline raster
@@ -196,24 +196,22 @@ def _window_masks(signal: np.ndarray, bad: np.ndarray, win: int, depth: int):
 
 
 # bytes of the fitted plug-in rows of one block of raster rows (see
-# block_rows): a fixed budget, so that a worker's memory does not grow with
-# the stack depth. On a 64-pixel-wide update of k = 5 of l = 40 dates it
-# gives 5 rows; larger blocks were no faster there and raised peak memory.
+# block_rows), without a spectral fit's Schur factors and eigenvectors: a
+# fixed budget, so that a worker's memory does not grow with the stack
+# depth. On a 64-pixel-wide update of k = 5 of l = 40 dates it gives 5 rows;
+# larger blocks were no faster there and raised peak memory.
 BLOCK_BYTES = 2 ** 20
 
 
 def block_rows(height: int, width: int, l: int, p: int,
                distance: str) -> int:
     """Raster rows per block of a fit of l dates given p past phases, on a
-    raster of height x width pixels. A fit that reads plug-in rows first: of
-    l (solvers.first_fitted_row; a least-squares update) takes as many rows
-    as keep their fitted plug-in rows, width (l - first) l complex entries a
-    row, within BLOCK_BYTES, and at least one; the band, the fit's
-    temporaries and the output then scale with the same bytes. A fit of
-    whole plug-ins (first = 0) takes one row a block."""
+    raster of height x width pixels: as many rows as keep their fitted
+    plug-in rows, those from first = solvers.first_fitted_row on (p for a
+    least-squares update, else 0: whole plug-ins), width (l - first) l
+    complex entries a row, within BLOCK_BYTES, and at least one; the band,
+    the fit's temporaries and the output then scale with the same bytes."""
     first = first_fitted_row(distance, p)
-    if not first:
-        return 1
     row_bytes = width * (l - first) * l * np.dtype(complex).itemsize
     return min(height, max(1, BLOCK_BYTES // row_bytes))
 
@@ -233,9 +231,9 @@ def _process(stacks, past, win: int, spec: PluginSpec,
     them. A least-squares update reads only the k new rows of each plug-in,
     so only those are built; a spectral fit builds the whole plug-in. Each
     block is one fit call over its live pixels; a block holds block_rows
-    rows, so a least-squares update fits several rows at once and a fit of
-    whole plug-ins one. No pixel's result depends on its block, so the
-    raster is the same, bit for bit, for any block size.
+    rows, as many as keep its fitted plug-in rows within BLOCK_BYTES. No
+    pixel's result depends on its block, so the raster is the same, bit for
+    bit, for any block size.
     """
     stacks = list(stacks)
     height, width = stacks[0].shape[1:]

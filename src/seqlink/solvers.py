@@ -480,12 +480,13 @@ def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
     block through its Schur factors and raises ValueError if given rows.
 
     numpy's stacked Cholesky fails for the whole stack when one |Σ| is not
-    positive definite, so such a spectral-fit stack is rerun one problem at
-    a time, each with jittered_cholesky's rescue. A problem that still
-    raises a solver or linear-algebra error gets NaN phases, 0 iterations
-    and converged False; the others are unaffected, since no problem's
-    result depends on the rest of its stack. sigma is read, never written,
-    so it may be a view (say, of a larger stack) or read-only.
+    positive definite, so such a spectral-fit stack is fit again in halves,
+    down to single problems with jittered_cholesky's rescue: only failing
+    problems are fit alone. A problem that still raises a solver or
+    linear-algebra error gets NaN phases, 0 iterations and converged False;
+    the others are unaffected, since no problem's result depends on the
+    rest of its stack. sigma is read, never written, so it may be a view
+    (say, of a larger stack) or read-only.
     """
     check_distance(distance)
     if distance == "kl" and sigma.shape[-2] != sigma.shape[-1]:
@@ -494,20 +495,19 @@ def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
     w_past = np.asarray(np.ones((len(sigma), 0)) if w_past is None else w_past,
                         dtype=complex)
     try:
-        # no jitter here: a rescue would jitter every problem of the stack.
-        # Only the spectral fit inverts anything, so only it can raise
-        return _fit(sigma, cfg, distance, w_past, jitter=0.0)
+        # a rescue would jitter every problem of a stack, so only a single
+        # problem gets one. Only the spectral fit inverts anything, so only
+        # it can raise
+        return _fit(sigma, cfg, distance, w_past,
+                    jitter=DEFAULT_JITTER if len(sigma) == 1 else 0.0)
     except (SeqlinkError, np.linalg.LinAlgError):
-        pass
-    count, k = len(sigma), sigma.shape[-1] - w_past.shape[-1]
-    batch = BatchReport(np.full((count, k), np.nan, dtype=complex),
-                        np.zeros(count, dtype=int), np.zeros(count, dtype=bool))
-    for i in range(count):
-        try:
-            one = _fit(sigma[i:i + 1], cfg, distance, w_past[i:i + 1])
-        except (SeqlinkError, np.linalg.LinAlgError):
-            continue
-        batch.phases[i] = one.phases[0]
-        batch.iterations[i] = one.iterations[0]
-        batch.converged[i] = one.converged[0]
-    return batch
+        if len(sigma) == 1:
+            k = sigma.shape[-1] - w_past.shape[-1]
+            return BatchReport(np.full((1, k), np.nan, dtype=complex),
+                               np.zeros(1, dtype=int), np.zeros(1, dtype=bool))
+    half = len(sigma) // 2
+    a, b = (fit(sigma[part], cfg, distance, w_past[part])
+            for part in (slice(half), slice(half, None)))
+    return BatchReport(np.concatenate([a.phases, b.phases]),
+                       np.concatenate([a.iterations, b.iterations]),
+                       np.concatenate([a.converged, b.converged]))

@@ -379,11 +379,11 @@ def test_solve_manifest_times_each_stage(scene, tmp_path):
 @pytest.mark.parametrize("distance", ["frob", "kl"])
 def test_solve_manifest_records_the_rows_of_each_block(scene, tmp_path,
                                                        monkeypatch, distance):
-    """An offline fit, and any spectral fit, takes one row a block; a
-    least-squares update of k = 2 of l = 6 dates on 8 x 8 pixels takes as
-    many rows as fit their 8 * 2 * 6 complex entries a row in BLOCK_BYTES,
-    at least one and at most all 8; the manifest records the rows of the
-    blocks that the raster ran."""
+    """Every fit of l dates on 8 x 8 pixels takes as many rows as fit
+    their 8 (l - first) l complex entries a row in BLOCK_BYTES, at least
+    one and at most all 8: first = p = 4 for a least-squares update of
+    k = 2 of l = 6 dates, 0 for an offline or spectral fit; the manifest
+    records the rows of the blocks that the raster ran."""
     blocks = []
     run_rows = seqlink.raster._run_rows
 
@@ -391,25 +391,29 @@ def test_solve_manifest_records_the_rows_of_each_block(scene, tmp_path,
         blocks.append(count)
         return run_rows(count, worker, threads)
 
+    def expected_rows(budget, l, first):
+        return min(8, max(1, budget // (8 * (l - first) * l * 16)))
+
     monkeypatch.setattr(seqlink.raster, "_run_rows", recording_run_rows)
-    past = tmp_path / "past.csv"
-    assert main(["solve", str(scene / "demo.slk.past.slk"), "--window", "4",
-                 "--distance", distance, "--out", str(past)]) == 0
-    assert read_manifest(f"{past}.manifest.txt")["raster.block_rows"] == "1"
-    assert blocks == [8]
-    row_bytes = 8 * 2 * 6 * 16
-    for budget, frob_rows in ((1, 1), (3 * row_bytes + 5, 3), (2 ** 20, 8)):
+    first = 4 if distance == "frob" else 0
+    frob_row_bytes = 8 * 2 * 6 * 16
+    for budget in (1, 3 * frob_row_bytes + 5, 2 * 8 * 6 * 6 * 16, 2 ** 20):
         monkeypatch.setattr(seqlink.raster, "BLOCK_BYTES", budget)
-        rows = frob_rows if distance == "frob" else 1
+        past = tmp_path / f"past{budget}.csv"
         out = tmp_path / f"seq{budget}.csv"
+        assert main(["solve", str(scene / "demo.slk.past.slk"), "--window",
+                     "4", "--distance", distance, "--out", str(past)]) == 0
         assert main(["solve", str(scene / "demo.slk.new.slk"), "--window",
                      "4", "--distance", distance, "--mode", "sequential",
                      "--past-phases", str(past), "--past-stack",
                      str(scene / "demo.slk.past.slk"), "--threads", "2",
                      "--out", str(out)]) == 0
-        manifest = read_manifest(f"{out}.manifest.txt")
-        assert manifest["raster.block_rows"] == str(rows)
-        assert blocks[-1] == -(-8 // rows)
+        for path, rows, count in zip(
+                (past, out), (expected_rows(budget, 4, 0),
+                              expected_rows(budget, 6, first)), blocks[-2:]):
+            manifest = read_manifest(f"{path}.manifest.txt")
+            assert manifest["raster.block_rows"] == str(rows)
+            assert count == -(-8 // rows)
 
 
 def test_bench_manifest_times_each_stage(tmp_path):

@@ -509,13 +509,19 @@ def test_raster_output_does_not_depend_on_the_block_size(monkeypatch,
 
 
 def test_block_rows_keep_the_fitted_rows_within_a_fixed_budget():
-    """A least-squares update takes as many rows as fit BLOCK_BYTES, so a
-    deeper past takes fewer rows and never more memory: at 64 pixels a row
-    and k = 5, five rows at p = 35, one from p = 100 on; an offline or
-    spectral fit takes one row, a narrow raster all its rows."""
+    """Every fit takes as many rows as keep its fitted plug-in rows within
+    BLOCK_BYTES, so a deeper past takes fewer rows and never more memory:
+    a least-squares update at 64 pixels a row and k = 5, five rows at
+    p = 35, one from p = 100 on; a fit of whole plug-ins one row at 64
+    pixels a row, seven of a 10 x 10 raster at l = 30; a narrow raster all
+    its rows."""
     block_rows = seqlink.raster.block_rows
     assert seqlink.raster.BLOCK_BYTES == 2 ** 20
+    # perfbench's wide-frob update and offline fits and archive-kl's update:
+    # pinned, so that the blocks the benchmark measures stay put
     assert block_rows(64, 64, 40, 35, "frob") == 5
+    assert block_rows(64, 64, 35, 0, "frob") == 1
+    assert block_rows(10, 10, 30, 0, "kl") == 7
     assert block_rows(64, 64, 65, 60, "frob") == 3
     for p in (100, 200, 400):
         assert block_rows(300, 64, p + 5, p, "frob") == 1

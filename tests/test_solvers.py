@@ -881,16 +881,17 @@ def test_fit_rows_are_single_solves_and_a_failed_row_is_nan(distance,
                                                             sequential):
     rng = np.random.default_rng(90)
     l, p = 6, 4
-    sigma = np.array([scm(random_stack(rng, 3 * l, l)) for _ in range(4)])
-    # problem 1: |Σ| holds [[1, 2], [2, 1]], which is not positive definite
-    sigma[1] = np.eye(l)
-    sigma[1, :2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+    sigma = np.array([scm(random_stack(rng, 3 * l, l)) for _ in range(7)])
+    # problems 1 and 5, in both halves of the stack: |Σ| holds
+    # [[1, 2], [2, 1]], which is not positive definite
+    sigma[[1, 5]] = np.eye(l)
+    sigma[[1, 5], :2, :2] = [[1.0, 2.0], [2.0, 1.0]]
     w_past = np.array([random_torus(rng, p) for _ in sigma]) if sequential else None
     cfg = MMConfig(max_iters=200, tol=1e-12)
     batch = fit(sigma.copy(), cfg, distance, w_past)
-    assert batch.phases.shape == (4, l - p if sequential else l)
+    assert batch.phases.shape == (7, l - p if sequential else l)
     failed = []
-    for i in range(4):
+    for i in range(7):
         try:
             report = single_solve(sigma[i], distance,
                                   None if w_past is None else w_past[i], cfg)
@@ -903,7 +904,7 @@ def test_fit_rows_are_single_solves_and_a_failed_row_is_nan(distance,
         assert batch.iterations[i] == report.iterations
         assert batch.converged[i] == report.converged
     # least squares inverts nothing, so only the spectral fit fails
-    assert failed == ([1] if distance == "kl" else [])
+    assert failed == ([1, 5] if distance == "kl" else [])
 
 
 @pytest.mark.parametrize("distance, past", [
