@@ -162,24 +162,13 @@ def _raw_plugins(cfg, sigma_true, root, sim, trials):
 
 def _fit(cfg, sigma, w_past):
     """Each row of a (T, d, d) plug-in stack fitted given its (T, p) past
-    phases (see solvers.fit): its past phases then the new ones, or NaN where
-    a solve failed or the past holds NaN; a (T,) mask of the rows whose fit
-    ran without converging; and the (T,) iterations of each row's fit, 0
-    where none ran. fit never writes sigma, so it reads sigma
-    itself (say, a view of the trials' whole plug-ins) when every past is
-    usable, and a copy of the usable rows otherwise."""
-    p = w_past.shape[-1]
-    out = np.full((len(sigma), sigma.shape[-1]), np.nan, dtype=complex)
-    out[:, :p] = w_past
-    stalled = np.zeros(len(sigma), dtype=bool)
-    iterations = np.zeros(len(sigma), dtype=int)
-    ok = ~np.isnan(w_past).any(axis=1)
-    if ok.any():
-        batch = fit(sigma if ok.all() else sigma[ok], MMConfig(),
-                    cfg.distance, w_past[ok])
-        out[ok, p:], stalled[ok] = batch.phases, ~batch.converged
-        iterations[ok] = batch.iterations
-    return out, stalled, iterations
+    phases (see solvers.fit): its past phases then the new ones, NaN where
+    the fit failed (a NaN past fails it); a (T,) mask of the rows whose fit
+    did not converge, failed ones included; and the (T,) iterations of each
+    row's fit, 0 where it failed."""
+    batch = fit(sigma, MMConfig(), cfg.distance, w_past)
+    return (np.concatenate([w_past, batch.phases], axis=1), ~batch.converged,
+            batch.iterations)
 
 
 def _arms(cfg: ExperimentConfig):

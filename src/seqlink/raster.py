@@ -176,22 +176,26 @@ def _run_rows(height: int, worker, threads: int) -> None:
 
 def _window_masks(signal: np.ndarray, bad: np.ndarray, win: int, depth: int):
     """(undersampled, unusable) pixel grids: windows holding fewer than depth
-    samples, and windows that hold no pixel marked in the (height, width)
-    grid signal (a nonzero entry) or that hold one marked in the grid bad
-    (box counts over integral images)."""
+    samples, and windows that hold no pixel marked in one date of the
+    (dates, height, width) stack signal (a nonzero entry) or that hold one
+    marked in the (height, width) grid bad. Box counts come from running
+    sums over the window rows, then over the window columns."""
     if win < 1:
         raise ValueError("win must be >= 1")
-    height, width = signal.shape
+    height, width = bad.shape
     r0, r1 = window_bounds(height, win)
     c0, c1 = window_bounds(width, win)
 
     def box_counts(marked):
-        total = np.zeros((height + 1, width + 1), dtype=np.int64)
-        total[1:, 1:] = marked.cumsum(0).cumsum(1)
-        return (total[np.ix_(r1, c1)] - total[np.ix_(r0, c1)]
-                - total[np.ix_(r1, c0)] + total[np.ix_(r0, c0)])
+        # a count is at most height x width, so int32 holds it
+        rows = np.zeros(marked.shape[:-2] + (height + 1, width), np.int32)
+        np.cumsum(marked, axis=-2, out=rows[..., 1:, :])
+        rows = rows.take(r1, axis=-2) - rows.take(r0, axis=-2)
+        cols = np.zeros(rows.shape[:-1] + (width + 1,), np.int32)
+        np.cumsum(rows, axis=-1, out=cols[..., 1:])
+        return cols.take(c1, axis=-1) - cols.take(c0, axis=-1)
 
-    unusable = (box_counts(signal) == 0) | (box_counts(bad) > 0)
+    unusable = (box_counts(signal) == 0).any(axis=0) | (box_counts(bad) > 0)
     return np.outer(r1 - r0, c1 - c0) < depth, unusable
 
 
@@ -216,14 +220,15 @@ def block_rows(height: int, width: int, l: int, p: int,
     return min(height, max(1, BLOCK_BYTES // row_bytes))
 
 
-def _process(stacks, past, win: int, spec: PluginSpec,
-             skip: np.ndarray, cfg: MMConfig, distance: str,
-             threads: int) -> PhaseRaster:
+def _process(stacks, past, win: int, spec: PluginSpec, cfg: MMConfig,
+             distance: str, threads: int) -> PhaseRaster:
     """fit every pixel of a sequence of (l_i, height, width) stacks of
     consecutive dates, in blocks of consecutive rows, given the
-    (p, height, width) past angles (p = 0 for an offline raster); pixels
-    hold the last k = l - p dates. Pixels in skip, with all-zero windows or
-    a non-finite entry in their window, or whose fit fails are failed.
+    (p, height, width) past angles (p = 0 for an offline raster); the last
+    stack holds the fitted dates, k = l - p of them. A pixel fails if its
+    window holds a non-finite entry, or no nonzero sample in one of the
+    fitted dates, or if its fit fails (fit fails a pixel whose past holds a
+    NaN angle).
 
     The stacks are read in place: each block's window rows are copied into
     one band by window_estimates. Non-finite entries are read as 0 (from a
@@ -238,16 +243,13 @@ def _process(stacks, past, win: int, spec: PluginSpec,
     stacks = list(stacks)
     height, width = stacks[0].shape[1:]
     l = sum(len(data) for data in stacks)
-    signal = np.zeros((height, width), dtype=bool)
     bad_grid = np.zeros((height, width), dtype=bool)
     for i, data in enumerate(stacks):
         bad = ~np.isfinite(data)
         if bad.any():
             stacks[i] = data = np.where(bad, 0, data)
             bad_grid |= bad.any(axis=0)
-        signal |= np.any(data != 0, axis=0)
-    undersampled, unusable = _window_masks(signal, bad_grid, win, l)
-    skipped = skip | unusable
+    undersampled, unusable = _window_masks(stacks[-1] != 0, bad_grid, win, l)
     first = first_fitted_row(distance, len(past))
     rows = block_rows(height, width, l, len(past), distance)
     out = np.full((l - len(past), height, width), np.nan)
@@ -257,7 +259,7 @@ def _process(stacks, past, win: int, spec: PluginSpec,
     def worker(block: int) -> None:
         start = block * rows
         stop = min(start + rows, height)
-        live = ~skipped[start:stop]
+        live = ~unusable[start:stop]
         if not live.any():
             return
         sigma = window_estimates(stacks, start, win, spec, first, stop - start)
@@ -284,17 +286,16 @@ def process_stack_offline(
     """Estimate all stack phases at every pixel, the sequential estimate
     from an empty past; anchored to the first date.
 
-    Per-pixel failures (non-invertible plug-in, empty signal) yield NaN
-    phases and a failed-mask bit instead of aborting the raster; a solve that
-    runs out of iterations keeps its phases and sets a nonconverged bit.
+    Per-pixel failures (non-invertible plug-in, a date with no signal in
+    the window) yield NaN phases and a failed-mask bit instead of aborting
+    the raster; a solve that runs out of iterations keeps its phases and
+    sets a nonconverged bit.
     """
     check_distance(distance)
     if stack.count < 2:
         raise ValueError("need at least two images to link phases")
-    skip = np.zeros((stack.height, stack.width), dtype=bool)
     past = np.empty((0, stack.height, stack.width))
-    return _process([stack.data], past, win, spec, skip, cfg, distance,
-                    threads)
+    return _process([stack.data], past, win, spec, cfg, distance, threads)
 
 
 def process_stack_sequential(
@@ -327,7 +328,7 @@ def process_stack_sequential(
             f"past raster holds {past_phases.count} phases but past stack has "
             f"{stack_past.count} images")
     return _process([stack_past.data, stack_new.data], past_phases.data, win,
-                    spec, past_phases.failed, cfg, distance, threads)
+                    spec, cfg, distance, threads)
 
 
 def interferogram(phases: PhaseRaster, i: int, j: int) -> np.ndarray:

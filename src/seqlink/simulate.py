@@ -101,58 +101,6 @@ def matrix_sqrt(sigma: np.ndarray) -> np.ndarray:
     return vectors * np.sqrt(np.clip(values, 0.0, None))
 
 
-def _standard_complex_normal(rng: np.random.Generator, n: int, l: int) -> np.ndarray:
-    """n i.i.d. rows with E[z zᴴ] = I (Re and Im each variance 1/2)."""
-    z = rng.standard_normal((n, l)) + 1j * rng.standard_normal((n, l))
-    return z / np.sqrt(2.0)
-
-
-def sample_gaussian(sigma: np.ndarray, n: int, seed, root=None) -> np.ndarray:
-    """n circular complex Gaussian samples with covariance sigma, as rows.
-
-    root, if given, is matrix_sqrt(sigma), so that many draws from one
-    covariance share one factorization.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    l_mat = matrix_sqrt(sigma) if root is None else root
-    return _standard_complex_normal(rng, n, sigma.shape[0]) @ l_mat.T
-
-
-def sample_scaled_gaussian(
-    sigma: np.ndarray,
-    n: int,
-    nu: float,
-    seed,
-    textures: np.ndarray | None = None,
-    root=None,
-) -> np.ndarray:
-    """n samples √τᵢ·xᵢ with xᵢ Gaussian and τᵢ ~ Gamma(nu, 1/nu), E[τ] = 1.
-
-    The Gaussian part consumes the generator exactly as sample_gaussian, so
-    injecting textures of all ones reproduces the Gaussian stack bit for bit
-    (the unit-texture degenerate path used by tests). root is as for
-    sample_gaussian.
-    """
-    if nu <= 0.0:
-        raise ValueError("nu must be > 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    l_mat = matrix_sqrt(sigma) if root is None else root
-    gaussian = _standard_complex_normal(rng, n, sigma.shape[0]) @ l_mat.T
-    if textures is None:
-        textures = rng.gamma(shape=nu, scale=1.0 / nu, size=n)
-    else:
-        textures = np.asarray(textures, dtype=float)
-        if textures.shape != (n,):
-            raise ValueError(f"textures shape {textures.shape}, expected ({n},)")
-        if np.any(textures < 0):
-            raise ValueError("textures must be nonnegative")
-    return np.sqrt(textures)[:, None] * gaussian
-
-
 def noiseless_stack(sigma: np.ndarray, n: int) -> np.ndarray:
     """A deterministic n-sample stack whose sample covariance is exactly sigma.
 
@@ -179,9 +127,21 @@ def ground_truth(cfg: SimulationConfig):
 
 def sample_stack(sigma: np.ndarray, cfg: SimulationConfig, seed=None,
                  root=None) -> np.ndarray:
-    """Draw one stack from sigma under the configured distribution; root,
-    if given, is matrix_sqrt(sigma) (see sample_gaussian)."""
-    use = cfg.seed if seed is None else seed
-    if cfg.distribution == "gaussian":
-        return sample_gaussian(sigma, cfg.n, use, root)
-    return sample_scaled_gaussian(sigma, cfg.n, cfg.nu, use, root=root)
+    """cfg.n samples drawn from sigma, as rows, under cfg.distribution.
+
+    One generator, seeded by seed (cfg.seed if None), draws the circular
+    complex Gaussian rows z·Lᵀ, with z's real and imaginary parts each of
+    variance 1/2, so E[x xᴴ] = L Lᴴ = sigma. A scaled_gaussian stack then
+    draws the textures τᵢ ~ Gamma(nu, 1/nu), E[τ] = 1, from the same
+    generator and scales row i by √τᵢ, so it is the Gaussian stack of the
+    same seed, textured. root, if given, is L = matrix_sqrt(sigma), so that
+    many draws from one covariance share one factorization.
+    """
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    root = matrix_sqrt(sigma) if root is None else root
+    shape = (cfg.n, sigma.shape[0])
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = (z / np.sqrt(2.0)) @ root.T
+    if cfg.distribution == "scaled_gaussian":
+        out = np.sqrt(rng.gamma(cfg.nu, 1.0 / cfg.nu, cfg.n))[:, None] * out
+    return out

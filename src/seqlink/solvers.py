@@ -479,14 +479,16 @@ def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
     Frobenius raster update builds them). A spectral fit reads the past
     block through its Schur factors and raises ValueError if given rows.
 
-    numpy's stacked Cholesky fails for the whole stack when one |Σ| is not
-    positive definite, so such a spectral-fit stack is fit again in halves,
-    down to single problems with jittered_cholesky's rescue: only failing
-    problems are fit alone. A problem that still raises a solver or
-    linear-algebra error gets NaN phases, 0 iterations and converged False;
-    the others are unaffected, since no problem's result depends on the
-    rest of its stack. sigma is read, never written, so it may be a view
-    (say, of a larger stack) or read-only.
+    A problem whose past holds a non-finite phase fails at entry, before
+    any factor or step. numpy's stacked Cholesky fails for the whole stack
+    when one |Σ| is not positive definite, so such a spectral-fit stack is
+    fit again in halves, down to single problems with jittered_cholesky's
+    rescue: only failing problems are fit alone, and a problem that still
+    raises a solver or linear-algebra error fails too. A failed problem
+    gets NaN phases, 0 iterations and converged False; the others are
+    unaffected, since no problem's result depends on the rest of its stack.
+    sigma is read, never written, so it may be a view (say, of a larger
+    stack) or read-only.
     """
     check_distance(distance)
     if distance == "kl" and sigma.shape[-2] != sigma.shape[-1]:
@@ -494,20 +496,27 @@ def fit(sigma, cfg: MMConfig, distance: str, w_past=None) -> BatchReport:
                          f"{sigma.shape[-2]} x {sigma.shape[-1]} rows")
     w_past = np.asarray(np.ones((len(sigma), 0)) if w_past is None else w_past,
                         dtype=complex)
-    try:
-        # a rescue would jitter every problem of a stack, so only a single
-        # problem gets one. Only the spectral fit inverts anything, so only
-        # it can raise
-        return _fit(sigma, cfg, distance, w_past,
-                    jitter=DEFAULT_JITTER if len(sigma) == 1 else 0.0)
-    except (SeqlinkError, np.linalg.LinAlgError):
-        if len(sigma) == 1:
-            k = sigma.shape[-1] - w_past.shape[-1]
-            return BatchReport(np.full((1, k), np.nan, dtype=complex),
-                               np.zeros(1, dtype=int), np.zeros(1, dtype=bool))
-    half = len(sigma) // 2
-    a, b = (fit(sigma[part], cfg, distance, w_past[part])
-            for part in (slice(half), slice(half, None)))
-    return BatchReport(np.concatenate([a.phases, b.phases]),
-                       np.concatenate([a.iterations, b.iterations]),
-                       np.concatenate([a.converged, b.converged]))
+    lost = ~np.isfinite(w_past).all(axis=1)
+    if lost.any():
+        parts = [] if lost.all() else [~lost]
+    else:
+        try:
+            # a rescue would jitter every problem of a stack, so only a
+            # single problem gets one. Only the spectral fit inverts
+            # anything, so only it can raise
+            return _fit(sigma, cfg, distance, w_past,
+                        jitter=DEFAULT_JITTER if len(sigma) == 1 else 0.0)
+        except (SeqlinkError, np.linalg.LinAlgError):
+            half = len(sigma) // 2
+            parts = [slice(half), slice(half, None)] if half else []
+    count = len(sigma)
+    out = BatchReport(
+        np.full((count, sigma.shape[-1] - w_past.shape[-1]), np.nan,
+                dtype=complex),
+        np.zeros(count, dtype=int), np.zeros(count, dtype=bool))
+    for part in parts:
+        batch = fit(sigma[part], cfg, distance, w_past[part])
+        out.phases[part] = batch.phases
+        out.iterations[part] = batch.iterations
+        out.converged[part] = batch.converged
+    return out

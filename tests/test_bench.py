@@ -441,24 +441,33 @@ def test_failed_past_fit_excludes_only_its_trial_and_is_never_continued(
     cfg = small_cfg(mode="sequential", trials=5, n_grid=(24,))
     clean = trial_errors(cfg, 24)
     assert not np.isnan(clean).any()
-    fit = seqlink.bench.fit
-    sequential_calls = []
+    fit, torus_mm = seqlink.bench.fit, seqlink.solvers.torus_mm
+    sequential_fits, sequential_mm = [], []
 
     def failing_fit(sigma, solver, distance, w_past=None):
         batch = fit(sigma, solver, distance, w_past)
         if w_past.shape[-1]:
-            sequential_calls.append(w_past.copy())
+            sequential_fits.append(batch)
         elif sigma.shape[-1] == cfg.sim.p:  # the past fit: fail trial 3
             batch.phases[3] = np.nan
             batch.iterations[3] = 0
             batch.converged[3] = False
         return batch
 
+    def recording_mm(mat, *args, **kwargs):
+        if mat.shape[-1] == cfg.sim.k + 1:  # only the update has k new dates
+            sequential_mm.append(mat.copy())
+        return torus_mm(mat, *args, **kwargs)
+
     monkeypatch.setattr(seqlink.bench, "fit", failing_fit)
+    monkeypatch.setattr(seqlink.solvers, "torus_mm", recording_mm)
     errors = trial_errors(cfg, 24)
-    assert len(sequential_calls) == 1
-    assert sequential_calls[0].shape == (cfg.trials - 1, cfg.sim.p)
-    assert not np.isnan(sequential_calls[0]).any()
+    # fit drops the failed past before any MM step
+    (update,) = sequential_fits
+    assert np.isnan(update.phases[3]).all()
+    assert (update.iterations[3], update.converged[3]) == (0, False)
+    (mat,) = sequential_mm
+    assert len(mat) == cfg.trials - 1 and np.isfinite(mat).all()
     assert np.isnan(errors[3])
     kept = np.arange(cfg.trials) != 3
     assert np.array_equal(errors[kept], clean[kept])

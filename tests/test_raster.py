@@ -415,7 +415,8 @@ def test_update_reads_the_stacks_in_place_and_frob_fits_only_new_rows(
     """No (l, height, width) copy of both stacks is made; a Frobenius update
     fits (B, k, l) rows, two raster rows a fit when BLOCK_BYTES holds two
     rows' width k l entries, and a spectral one whole (B, l, l) plug-ins,
-    one raster row a fit; the fits cover each pixel with a past once."""
+    one raster row a fit; the fits cover each pixel once, one with a failed
+    past too (fit fails it)."""
     p, k, height, width = 5, 3, 6, 5
     full = random_image_stack(102, p + k, height, width)
     past, new = ImageStack(full.data[:p]), ImageStack(full.data[p:])
@@ -442,7 +443,8 @@ def test_update_reads_the_stacks_in_place_and_frob_fits_only_new_rows(
                              3, cfg)
     rows = 2 if distance == "frob" else 1
     assert len(fitted) == height // rows
-    assert sum(shape[0] for shape in fitted) == (~past_raster.failed).sum()
+    assert past_raster.failed.any() == (distance == "kl")
+    assert sum(shape[0] for shape in fitted) == height * width
     assert {shape[1:] for shape in fitted} == {
         (k, l) if distance == "frob" else (l, l)}
     assert (l, height, width) not in joined
@@ -535,12 +537,13 @@ def test_block_rows_keep_the_fitted_rows_within_a_fixed_budget():
 
 @pytest.mark.parametrize("win", [1, 2, 3])
 def test_raster_masks_match_window_enumeration(win):
-    """failed (frob never fails otherwise) marks exactly the windows whose
-    samples are all zero; undersampled the windows holding fewer than l."""
+    """failed (frob never fails otherwise) marks exactly the windows with no
+    nonzero sample in one of the dates; undersampled the windows holding
+    fewer than l."""
     stack = random_image_stack(101, 3, 6, 7)
     stack.data[:, 1:3, 1:4] = 0.0
     stack.data[:, 5, 6] = 0.0
-    stack.data[0, 4, 0] = 0.0  # one zero entry does not empty a pixel
+    # pixel (4, 0) holds data in date 1 only: its own window fails at win 1
     stack.data[:, 4, 0] = 0.0
     stack.data[1, 4, 0] = 1e-300
     raster = process_stack_offline(stack, PluginSpec(), "frob", win,
@@ -548,11 +551,39 @@ def test_raster_masks_match_window_enumeration(win):
     for row in range(6):
         for col in range(7):
             samples = sliding_window_extract(stack, row, col, win)
-            assert raster.failed[row, col] == (not np.any(samples))
+            assert raster.failed[row, col] == (not samples.any(axis=0).all())
             assert raster.undersampled[row, col] == (samples.shape[0] < 3)
             assert np.isnan(raster.data[:, row, col]).all() == raster.failed[row, col]
             assert (raster.iterations[row, col] == 0) == raster.failed[row, col]
     assert raster.failed.any() == (win < 3)
+
+
+@pytest.mark.parametrize("zeroed", ["new dates", "one new date"])
+@pytest.mark.parametrize("estimator", ["scm", "po"])
+@pytest.mark.parametrize("distance", ["kl", "frob"])
+def test_update_fails_a_window_with_no_data_in_a_new_date(estimator,
+                                                          distance, zeroed):
+    """The k new images, or one of them, are zero in columns 0-7, the past
+    ones are not: every window with no nonzero sample in one of the new
+    dates fails, and a Frobenius update (which fails nothing else here)
+    fails no other pixel."""
+    p, k, win, size = 9, 3, 5, 24
+    full = random_image_stack(104, p + k, size, size)
+    full.data[p + 1 if zeroed == "one new date" else slice(p, None),
+              :, :8] = 0.0
+    past, new = ImageStack(full.data[:p]), ImageStack(full.data[p:])
+    empty = np.array([[not sliding_window_extract(new, row, col, win)
+                       .any(axis=0).all() for col in range(size)]
+                      for row in range(size)])
+    raster = process_stack_sequential(
+        new, PhaseRaster(np.zeros((p, size, size))), past,
+        PluginSpec(estimator), distance, win, MMConfig(max_iters=200))
+    assert empty.sum() == 6 * size  # windows of columns 0-5
+    assert np.isnan(raster.data[:, empty]).all()
+    assert not raster.iterations[empty].any()
+    assert not raster.nonconverged[empty].any()
+    if distance == "frob":
+        assert np.array_equal(raster.failed, empty)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.5, -np.inf)])

@@ -1,5 +1,7 @@
 """Ground-truth construction and sampling tests: exact closed forms, moment
 checks against the generative model, and determinism contracts."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,8 +16,6 @@ from seqlink import (
     ground_truth,
     linear_phase_ramp,
     noiseless_stack,
-    sample_gaussian,
-    sample_scaled_gaussian,
     sample_stack,
     scm,
     toeplitz_coherence,
@@ -111,8 +111,16 @@ def test_build_true_covariance_rejects_dim_mismatch():
 # Gaussian sampling
 
 
+def draw(sigma, n, seed, distribution="gaussian"):
+    """n samples of an l x l sigma, drawn through a SimulationConfig of l
+    dates (so l >= 2)."""
+    l = len(sigma)
+    return sample_stack(sigma, SimulationConfig(
+        l=l, p=l - 1, k=1, n=n, seed=seed, distribution=distribution))
+
+
 def test_sample_gaussian_identity_covariance_consistency():
-    stack = sample_gaussian(np.eye(4, dtype=complex), 100_000, seed=7)
+    stack = draw(np.eye(4, dtype=complex), 100_000, seed=7)
     assert np.max(np.abs(scm(stack) - np.eye(4))) < 0.02
 
 
@@ -120,31 +128,31 @@ def test_sample_gaussian_structured_covariance_consistency():
     psi = toeplitz_coherence(8, 0.9)
     sigma = build_true_covariance(psi, linear_phase_ramp(8))
     n = 100_000
-    stack = sample_gaussian(sigma, n, seed=8)
+    stack = draw(sigma, n, seed=8)
     assert np.max(np.abs(scm(stack) - sigma)) < 5.0 / np.sqrt(n)
 
 
 def test_sample_gaussian_zero_covariance_gives_zero_samples():
-    stack = sample_gaussian(np.zeros((3, 3), dtype=complex), 10, seed=9)
+    stack = draw(np.zeros((3, 3), dtype=complex), 10, seed=9)
     assert np.array_equal(stack, np.zeros((10, 3), dtype=complex))
 
 
 def test_sample_gaussian_seed_determinism():
     sigma = build_true_covariance(toeplitz_coherence(5, 0.8), linear_phase_ramp(5))
-    a = sample_gaussian(sigma, 32, seed=123)
-    b = sample_gaussian(sigma, 32, seed=123)
-    c = sample_gaussian(sigma, 32, seed=124)
+    a = draw(sigma, 32, seed=123)
+    b = draw(sigma, 32, seed=123)
+    c = draw(sigma, 32, seed=124)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_sample_gaussian_rejects_indefinite_covariance():
     with pytest.raises(NotPositiveDefinite):
-        sample_gaussian(np.diag([1.0, -1.0]).astype(complex), 4, seed=0)
+        draw(np.diag([1.0, -1.0]).astype(complex), 4, seed=0)
 
 
 def test_sample_gaussian_entry_variance_split():
-    stack = sample_gaussian(np.eye(1, dtype=complex), 200_000, seed=10)
+    stack = draw(np.eye(2, dtype=complex), 200_000, seed=10)
     assert abs(np.var(stack.real) - 0.5) < 0.01
     assert abs(np.var(stack.imag) - 0.5) < 0.01
 
@@ -153,33 +161,26 @@ def test_sample_gaussian_entry_variance_split():
 # scaled-Gaussian sampling
 
 
-def test_scaled_gaussian_unit_textures_match_gaussian_bitwise():
-    sigma = build_true_covariance(toeplitz_coherence(6, 0.9), linear_phase_ramp(6))
-    plain = sample_gaussian(sigma, 50, seed=11)
-    forced = sample_scaled_gaussian(sigma, 50, nu=1.0, seed=11,
-                                    textures=np.ones(50))
-    assert np.array_equal(plain, forced)
-
-
 def test_scaled_gaussian_seed_determinism():
     sigma = np.eye(3, dtype=complex)
-    a = sample_scaled_gaussian(sigma, 64, nu=1.0, seed=12)
-    b = sample_scaled_gaussian(sigma, 64, nu=1.0, seed=12)
+    a = draw(sigma, 64, seed=12, distribution="scaled_gaussian")
+    b = draw(sigma, 64, seed=12, distribution="scaled_gaussian")
     assert np.array_equal(a, b)
 
 
 def test_scaled_gaussian_power_mean_near_one():
     # E[tau] = 1 keeps the average per-entry power at the Gaussian level
-    stack = sample_scaled_gaussian(np.eye(2, dtype=complex), 100_000, nu=1.0, seed=13)
+    stack = draw(np.eye(2, dtype=complex), 100_000, seed=13,
+                 distribution="scaled_gaussian")
     assert abs(np.mean(np.abs(stack) ** 2) - 1.0) < 0.02
 
 
 def test_scaled_gaussian_is_heavier_tailed_than_gaussian():
-    # normalized fourth moment: 2 for circular Gaussian, 4 under an
-    # exponential texture (E[tau^2] = 2 doubles it)
-    sigma = np.eye(1, dtype=complex)
-    heavy = sample_scaled_gaussian(sigma, 200_000, nu=1.0, seed=14)
-    light = sample_gaussian(sigma, 200_000, seed=14)
+    # normalized fourth moment of an entry: 2 for circular Gaussian, 4 under
+    # an exponential texture (E[tau^2] = 2 doubles it)
+    sigma = np.eye(2, dtype=complex)
+    heavy = draw(sigma, 200_000, seed=14, distribution="scaled_gaussian")
+    light = draw(sigma, 200_000, seed=14)
 
     def kurt(stack):
         power = np.abs(stack) ** 2
@@ -187,16 +188,6 @@ def test_scaled_gaussian_is_heavier_tailed_than_gaussian():
 
     assert kurt(heavy) > 3.0
     assert kurt(light) < 2.2
-
-
-def test_scaled_gaussian_validates_inputs():
-    sigma = np.eye(2, dtype=complex)
-    with pytest.raises(ValueError):
-        sample_scaled_gaussian(sigma, 8, nu=0.0, seed=0)
-    with pytest.raises(ValueError):
-        sample_scaled_gaussian(sigma, 8, nu=1.0, seed=0, textures=np.ones(5))
-    with pytest.raises(ValueError):
-        sample_scaled_gaussian(sigma, 8, nu=1.0, seed=0, textures=-np.ones(8))
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +239,22 @@ def test_ground_truth_assembles_configured_scenario():
 
 
 def test_sample_stack_dispatches_on_distribution():
+    """One generator draws the Gaussian rows z·Lᵀ and then, for a
+    scaled-Gaussian stack only, the textures τ ~ Gamma(nu, 1/nu): that
+    stack is the Gaussian stack of its seed with row i scaled by √τᵢ, bit
+    for bit. seed, if given, replaces cfg.seed."""
     cfg_g = SimulationConfig(l=4, p=3, k=1, n=16, seed=42)
-    cfg_s = SimulationConfig(l=4, p=3, k=1, n=16, seed=42,
-                             distribution="scaled_gaussian")
+    cfg_s = replace(cfg_g, nu=0.5, distribution="scaled_gaussian")
     _, _, sigma = ground_truth(cfg_g)
-    assert np.array_equal(sample_stack(sigma, cfg_g), sample_gaussian(sigma, 16, 42))
-    assert np.array_equal(
-        sample_stack(sigma, cfg_s), sample_scaled_gaussian(sigma, 16, 1.0, 42))
+    rng = np.random.default_rng(42)
+    z = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+    gaussian = sample_stack(sigma, cfg_g)
+    assert np.array_equal(gaussian, (z / np.sqrt(2.0)) @ matrix_sqrt(sigma).T)
+    tau = rng.gamma(0.5, 2.0, 16)
+    assert np.array_equal(sample_stack(sigma, cfg_s),
+                          np.sqrt(tau)[:, None] * gaussian)
     assert np.array_equal(sample_stack(sigma, cfg_g, seed=5),
-                          sample_gaussian(sigma, 16, 5))
+                          sample_stack(sigma, replace(cfg_g, seed=5)))
 
 
 @pytest.mark.parametrize("distribution", ["gaussian", "scaled_gaussian"])

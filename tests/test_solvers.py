@@ -934,6 +934,41 @@ def test_fit_reads_a_read_only_stack_and_leaves_it_unchanged(distance, past):
     assert np.isnan(batch.phases[1]).all() == (distance == "kl")
 
 
+@pytest.mark.parametrize("distance", ["kl", "frob"])
+def test_fit_fails_a_non_finite_past_before_any_mm_step(monkeypatch,
+                                                        distance):
+    """A problem whose past holds a NaN fails at entry (NaN phases, 0
+    iterations, converged False) and never reaches torus_mm; the others are
+    their fits without it, bit for bit. A stack of such problems alone runs
+    no MM at all."""
+    rng = np.random.default_rng(98)
+    l, p, count = 8, 5, 4
+    sigma = np.array([scm(random_stack(rng, 3 * l, l)) for _ in range(count)])
+    w_past = np.array([random_torus(rng, p) for _ in range(count)])
+    w_past[2, 3] = np.nan
+    kept = np.arange(count) != 2
+    cfg = MMConfig(max_iters=500, tol=1e-12)
+    expected = fit(sigma[kept], cfg, distance, w_past[kept])
+    stacks, torus_mm = [], seqlink.solvers.torus_mm
+
+    def recording_mm(mat, *args, **kwargs):
+        stacks.append(mat.copy())
+        return torus_mm(mat, *args, **kwargs)
+
+    monkeypatch.setattr(seqlink.solvers, "torus_mm", recording_mm)
+    batch = fit(sigma, cfg, distance, w_past)
+    assert np.isnan(batch.phases[2]).all()
+    assert (batch.iterations[2], batch.converged[2]) == (0, False)
+    (mat,) = stacks
+    assert len(mat) == count - 1 and np.isfinite(mat).all()
+    for name in ("phases", "iterations", "converged"):
+        assert np.array_equal(getattr(batch, name)[kept],
+                              getattr(expected, name))
+    alone = fit(sigma[2:3], cfg, distance, w_past[2:3])
+    assert len(stacks) == 1
+    assert np.isnan(alone.phases).all() and alone.iterations[0] == 0
+
+
 def direct_offline(sigma, distance, cfg):
     """One offline problem written from the whole matrix: H = 2(|Σ|∘Σ) with
     plain steps, or H = Ψ⁻¹∘Σ shifted by its largest eigenvalue from the
